@@ -19,6 +19,17 @@ def write_lines(path, values):
     path.write_text("".join(f"{v}\n" for v in values))
 
 
+def stderr_of(capsys):
+    """The stderr written so far, with stdout required to be empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def missing(path):
+    return f"{path}: cannot read: [Errno 2] No such file or directory: '{path}'"
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -53,9 +64,18 @@ class TestSimulate:
                        "--seed", "3", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_invalid_halfwidth(self, tmp_path):
+    def test_invalid_halfwidth(self, tmp_path, capsys):
         assert run("simulate", "--model", "band", "--halfwidth", "-1",
                    "--n", "10", "--out", str(tmp_path / "t.txt")) == 2
+        assert stderr_of(capsys) == "error: halfwidth must be >= 0\n"
+        assert run("simulate", "--model", "band", "--n", "0",
+                   "--out", str(tmp_path / "t.txt")) == 2
+        assert stderr_of(capsys) == "error: n must be positive\n"
+        nope = tmp_path / "nope.txt"
+        assert run("simulate", "--model", "replay", "--replay-file", str(nope),
+                   "--n", "5", "--out", str(tmp_path / "t.txt")) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
+        assert not (tmp_path / "t.txt").exists()
 
     def test_stamp_adds_comment(self, tmp_path):
         out = tmp_path / "t.txt"
@@ -96,11 +116,20 @@ class TestExtract:
                    "--k", "64", "--no-vn", "--out", str(out)) == 0
         assert read_bits(out).size == (20000 - 64) // 2
 
-    def test_insufficient_samples(self, tmp_path):
+    def test_insufficient_samples(self, tmp_path, capsys):
         trace_file = tmp_path / "t.txt"
         write_lines(trace_file, [5])
         assert run("extract", "--in", str(trace_file), "--algo", "updown",
                    "--out", str(tmp_path / "b.txt")) == 1
+        assert stderr_of(capsys) == "error: updown needs at least 2 samples\n"
+        assert run("extract", "--in", str(trace_file), "--algo", "mean",
+                   "--out", str(tmp_path / "b.txt")) == 1
+        assert stderr_of(capsys) == "error: mean with k=64 needs at least 66 samples\n"
+        trace_file.write_text("# no samples\n\n")
+        assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
+                   "--out", str(tmp_path / "b.txt")) == 1
+        assert stderr_of(capsys) == f"error: {trace_file}: no samples\n"
+        assert not (tmp_path / "b.txt").exists()
 
     def test_bps_estimate(self, tmp_path, capsys):
         trace_file = tmp_path / "t.txt"
@@ -110,11 +139,20 @@ class TestExtract:
                    "--rate", "10000") == 0
         assert "estimated-bps: 10000.00" in capsys.readouterr().out
 
-    def test_malformed_trace(self, tmp_path):
+    def test_malformed_trace(self, tmp_path, capsys):
         trace_file = tmp_path / "t.txt"
         trace_file.write_text("1\nbogus\n")
         assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == f"error: {trace_file}: line 2: not an integer: 'bogus'\n"
+        nope = tmp_path / "nope.txt"
+        assert run("extract", "--in", str(nope), "--algo", "leastsign",
+                   "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
+        write_lines(trace_file, [1, 2, 3])
+        assert run("extract", "--in", str(trace_file), "--algo", "mean",
+                   "--k", "0", "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == "error: window_k must be >= 1\n"
 
 
 class TestFipstest:
@@ -125,10 +163,14 @@ class TestFipstest:
         out = capsys.readouterr().out
         assert out.strip().endswith("OVERALL: FAIL")
 
-    def test_wrong_bit_count(self, tmp_path):
+    def test_wrong_bit_count(self, tmp_path, capsys):
         bit_file = tmp_path / "b.txt"
         bit_file.write_text("0" * 19999)
         assert run("fipstest", "--in", str(bit_file)) == 2
+        assert stderr_of(capsys) == f"error: {bit_file}: 19999 bits; need exactly 20000\n"
+        bit_file.write_text("01\n0120\n")
+        assert run("fipstest", "--in", str(bit_file)) == 2
+        assert stderr_of(capsys) == f"error: {bit_file}: line 2: invalid character '2'\n"
 
     def test_reference_bits_pass(self, tmp_path, capsys):
         bit_file = tmp_path / "b.txt"
@@ -136,8 +178,12 @@ class TestFipstest:
         assert run("fipstest", "--in", str(bit_file)) == 0
         assert capsys.readouterr().out.strip().endswith("OVERALL: PASS")
 
-    def test_missing_file(self, tmp_path):
-        assert run("fipstest", "--in", str(tmp_path / "nope.txt")) == 2
+    def test_missing_file(self, tmp_path, capsys):
+        nope = tmp_path / "nope.txt"
+        assert run("fipstest", "--in", str(nope)) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
+        assert run("intbits", "--in", str(nope), "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
 
 
 class TestIntbits:
@@ -179,8 +225,11 @@ class TestLcg:
         one = capsys.readouterr().out
         assert zero == one == "16807\n"
 
-    def test_negative_seed(self):
+    def test_negative_seed(self, capsys):
         assert run("lcg", "--seed", "-3", "--count", "1") == 2
+        assert stderr_of(capsys) == "error: seed must be non-negative\n"
+        assert run("lcg", "--seed", "3", "--count", "-1") == 2
+        assert stderr_of(capsys) == "error: count must be non-negative\n"
 
 
 class TestCrack:
@@ -197,10 +246,11 @@ class TestCrack:
                    "--samples", str(samples_file)) == 0
         assert "seed=338 offset=37" in capsys.readouterr().out
 
-    def test_budget_exhaustion(self, tmp_path):
+    def test_budget_exhaustion(self, tmp_path, capsys):
         seq_file, samples_file = self.make_instance(tmp_path, seed=620, d=900)
         assert run("crack", "--sequence", str(seq_file),
                    "--samples", str(samples_file), "--max-steps", "10") == 1
+        assert stderr_of(capsys) == "error: seed not found within 10 steps\n"
 
     def test_optimized_t1_same_step_count(self, tmp_path, capsys):
         seq_file, samples_file = self.make_instance(tmp_path, seed=340, d=450)
@@ -214,21 +264,49 @@ class TestCrack:
         assert plain == opt
         assert "stats: total-steps=" in plain
 
-    def test_malformed_sequence(self, tmp_path):
+    def test_malformed_sequence(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("16807\n0\n")          # 0 is not a valid output
         samples_file = tmp_path / "samples.txt"
         write_lines(samples_file, [1, 2, 3])
         assert run("crack", "--sequence", str(seq_file),
                    "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == f"error: {seq_file}: line 2: value 0 outside [1, 2147483646]\n"
+        seq_file.write_text("# window\n16807\n\n2147483647\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == (
+            f"error: {seq_file}: line 4: value 2147483647 outside [1, 2147483646]\n")
+        seq_file.write_text("16807\n0x10\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == f"error: {seq_file}: line 2: not an integer: '0x10'\n"
+        nope = tmp_path / "nope.txt"
+        assert run("crack", "--sequence", str(nope),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
+        seq_file.write_text("16807\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(nope)) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
+        samples_file.write_text("1\n1024\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == (
+            f"error: {samples_file}: line 2: value 1024 outside [0, 1023]\n")
+        write_lines(samples_file, [1, 2, 3])
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file), "--m", "0") == 2
+        assert stderr_of(capsys) == "error: m must be >= 1\n"
 
-    def test_empty_sequence_file(self, tmp_path):
+    def test_empty_sequence_file(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("# nothing here\n")
         samples_file = tmp_path / "samples.txt"
         write_lines(samples_file, [1, 2, 3])
         assert run("crack", "--sequence", str(seq_file),
                    "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == f"error: {seq_file}: no observed values\n"
 
 
 class TestStats:
@@ -248,8 +326,36 @@ class TestStats:
         assert run("stats", "--in", str(trace_file), "--hist-out", str(hist)) == 0
         assert hist.read_text() == "value,count\n42,100\n"
 
-    def test_malformed_input(self, tmp_path):
+    def test_malformed_input(self, tmp_path, capsys):
         trace_file = tmp_path / "t.txt"
         trace_file.write_text("99999\n")
         assert run("stats", "--in", str(trace_file),
                    "--hist-out", str(tmp_path / "h.csv")) == 2
+        assert stderr_of(capsys) == f"error: {trace_file}: line 1: value 99999 outside [0, 1023]\n"
+        trace_file.write_text("5\n-1\n")
+        assert run("stats", "--in", str(trace_file),
+                   "--hist-out", str(tmp_path / "h.csv")) == 2
+        assert stderr_of(capsys) == f"error: {trace_file}: line 2: value -1 outside [0, 1023]\n"
+        trace_file.write_text("# header only\n")
+        assert run("stats", "--in", str(trace_file),
+                   "--hist-out", str(tmp_path / "h.csv")) == 2
+        assert stderr_of(capsys) == "error: empty trace\n"
+        assert not (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "band", "--n", "10", "--out"],
+    ["extract", "--in", "TRACE", "--algo", "leastsign", "--no-vn", "--out"],
+    ["intbits", "--in", "TRACE", "--out"],
+    ["stats", "--in", "TRACE", "--hist-out"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output(tmp_path, capsys, argv):
+    trace_file = tmp_path / "t.txt"
+    write_lines(trace_file, [0, 1] * 50)
+    out = tmp_path / "a_directory"
+    out.mkdir()
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert run(*argv, str(out)) == 1
+    err = stderr_of(capsys)
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.endswith("\n") and err.count("\n") == 1
