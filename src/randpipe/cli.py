@@ -19,69 +19,42 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _load_trace(path: str) -> samples.SampleTrace:
-    return samples.load_trace(path)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        replay_values = None
-        if args.replay_file:
-            replay_values = tuple(int(v) for v in _load_trace(args.replay_file).values)
-        model = samples.SynthModel(
-            kind=args.model,
-            center=args.center,
-            halfwidth=args.halfwidth,
-            stickiness=args.stickiness,
-            transient_start=args.transient_start,
-            decay=args.decay,
-            amplitude=args.amplitude,
-            period=args.period,
-            noise_width=args.noise_width,
-            rng_seed=args.seed,
-            replay_values=replay_values,
-        )
-        trace = samples.synth_trace(model, args.n)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    replay_values = None
+    if args.replay_file:
+        replay_values = tuple(samples.load_trace(args.replay_file).values.tolist())
+    model = samples.SynthModel(
+        kind=args.model,
+        center=args.center,
+        halfwidth=args.halfwidth,
+        stickiness=args.stickiness,
+        transient_start=args.transient_start,
+        decay=args.decay,
+        amplitude=args.amplitude,
+        period=args.period,
+        noise_width=args.noise_width,
+        rng_seed=args.seed,
+        replay_values=replay_values,
+    )
+    trace = samples.synth_trace(model, args.n)
     header = None
     if args.stamp:
         header = (f"model={args.model} n={args.n} rng_seed={args.seed} "
                   f"generated={datetime.now(timezone.utc).isoformat()}")
-    try:
-        samples.save_trace(trace, args.out, header=header)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return 1
+    samples.save_trace(trace, args.out, header=header)
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    try:
-        trace = _load_trace(args.infile)
-        cfg = extract.ExtractorConfig(
-            algorithm=args.algo, window_k=args.k, apply_vn=not args.no_vn
-        )
-    except samples.TraceFormatError as exc:
-        _err(str(exc))
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    trace = samples.load_trace(args.infile)
+    cfg = extract.ExtractorConfig(
+        algorithm=args.algo, window_k=args.k, apply_vn=not args.no_vn
+    )
     if len(trace) == 0:
         _err(f"{args.infile}: no samples")
         return 1
-    try:
-        bits = extract.extract(trace, cfg)
-    except extract.InsufficientSamplesError as exc:
-        _err(str(exc))
-        return 1
-    try:
-        extract.write_bits(bits, args.out)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return 1
+    bits = extract.extract(trace, cfg)
+    extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
     print(f"samples-in: {len(trace)}")
     print(f"bits-out: {bits.size}")
@@ -92,11 +65,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_fipstest(args: argparse.Namespace) -> int:
-    try:
-        bits = extract.read_bits(args.infile)
-    except extract.BitFormatError as exc:
-        _err(str(exc))
-        return 2
+    bits = extract.read_bits(args.infile)
     if bits.size != fips.REQUIRED_LENGTH:
         _err(f"{args.infile}: {bits.size} bits; need exactly {fips.REQUIRED_LENGTH}")
         return 2
@@ -106,65 +75,24 @@ def cmd_fipstest(args: argparse.Namespace) -> int:
 
 
 def cmd_intbits(args: argparse.Namespace) -> int:
-    try:
-        trace = _load_trace(args.infile)
-    except samples.TraceFormatError as exc:
-        _err(str(exc))
-        return 2
+    trace = samples.load_trace(args.infile)
     bits = fips.ints_to_bits(trace)
-    try:
-        extract.write_bits(bits, args.out)
-    except OSError as exc:
-        _err(f"cannot write {args.out}: {exc}")
-        return 1
+    extract.write_bits(bits, args.out)
     print(f"samples-in: {len(trace)}")
     print(f"bits-out: {bits.size}")
     return 0
 
 
 def cmd_lcg(args: argparse.Namespace) -> int:
-    try:
-        values = avrprng.stream(args.seed, args.count)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    for v in values:
+    for v in avrprng.stream(args.seed, args.count):
         print(v)
     return 0
 
 
-def _load_sequence(path: str) -> list[int]:
-    """Observed generator outputs: one decimal value per line."""
-    out = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                v = int(text)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not an integer: {text!r}") from None
-            if not 1 <= v <= avrprng.MODULUS - 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: value {v} outside [1, {avrprng.MODULUS - 1}]"
-                )
-            out.append(v)
-    return out
-
-
 def cmd_crack(args: argparse.Namespace) -> int:
-    try:
-        seq = _load_sequence(args.sequence)
-        trace = _load_trace(args.samples)
-        cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
-    except (ValueError, samples.TraceFormatError) as exc:
-        _err(str(exc))
-        return 2
+    seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1)
+    trace = samples.load_trace(args.samples)
+    cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
     if not seq:
         _err(f"{args.sequence}: no observed values")
         return 2
@@ -185,21 +113,12 @@ def cmd_crack(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        trace = _load_trace(args.infile)
-        st = samples.trace_stats(trace)
-    except (ValueError, samples.TraceFormatError) as exc:
-        _err(str(exc))
-        return 2
-    try:
-        with open(args.hist_out, "w", encoding="utf-8") as fh:
-            fh.write("value,count\n")
-            for v in range(samples.SAMPLE_MAX + 1):
-                if st.counts[v]:
-                    fh.write(f"{v},{st.counts[v]}\n")
-    except OSError as exc:
-        _err(f"cannot write {args.hist_out}: {exc}")
-        return 1
+    st = samples.trace_stats(samples.load_trace(args.infile))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("value,count\n")
+        for v in range(samples.SAMPLE_MAX + 1):
+            if st.counts[v]:
+                fh.write(f"{v},{st.counts[v]}\n")
     print(f"samples: {st.total}")
     print(f"distinct: {st.distinct}")
     print(f"min: {st.min_value}")
@@ -275,15 +194,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="histogram summary of a sample file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--hist-out", required=True, help="output CSV (value,count)")
+    p.add_argument("--hist-out", dest="out", metavar="HIST_OUT", required=True,
+                   help="output CSV (value,count)")
     p.set_defaults(func=cmd_stats)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; map its errors to exit codes and stderr lines.
+
+    Reads turn OSError into a format error, so an OSError that reaches
+    here comes from writing the subcommand's output file. In a subcommand
+    without one, such as a broken stdout pipe under `lcg | head`, it
+    propagates.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except extract.InsufficientSamplesError as exc:
+        _err(str(exc))
+        return 1
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
+    except OSError as exc:
+        out = getattr(args, "out", None)
+        if out is None:
+            raise
+        _err(f"cannot write {out}: {exc}")
+        return 1
 
 
 def entry() -> None:

@@ -24,6 +24,10 @@ from .samples import SampleTrace
 
 SEED_SPACE = 1024
 
+# Offsets per vectorized step of audit_candidate_streams; it bounds the
+# step's (SEED_SPACE, AUDIT_BLOCK + width - 1) int64 array to about 41 MB.
+AUDIT_BLOCK = 5000
+
 
 @dataclass(frozen=True)
 class ProbDist:
@@ -217,7 +221,6 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
 def audit_candidate_streams(
     targets: Sequence[Sequence[int]],
     horizon: int = 10**6,
-    block: int = 5000,
 ) -> list[list[tuple[int, int]]]:
     """Find every occurrence of each target window among candidate streams.
 
@@ -226,7 +229,8 @@ def audit_candidate_streams(
     horizon). Returns, per target, the list of (seed, offset) pairs where
     the target occurs; offset counts outputs before the window.
 
-    Streams are generated in blocks via precomputed multiplier powers:
+    Streams are generated in blocks of AUDIT_BLOCK offsets via
+    precomputed multiplier powers:
     output j of state x is (x * 16807^(j+1)) mod (2^31 - 1), so a whole
     block of every stream is one vectorized multiply.
     """
@@ -247,19 +251,19 @@ def audit_candidate_streams(
         lut[v & ((1 << lut_bits) - 1)] = True
 
     ext = width - 1
-    powers = np.empty(block + ext, dtype=np.int64)
+    powers = np.empty(AUDIT_BLOCK + ext, dtype=np.int64)
     p = 1
-    for j in range(block + ext):
+    for j in range(AUDIT_BLOCK + ext):
         p = (p * MULTIPLIER) % MODULUS
         powers[j] = p
-    step_mult = int(pow(MULTIPLIER, block, MODULUS))
+    step_mult = int(pow(MULTIPLIER, AUDIT_BLOCK, MODULUS))
 
     # Candidate seed i starts from state max(i mod M, 1); seed 0 shares
     # seed 1's stream.
     states = np.array([1] + list(range(1, SEED_SPACE)), dtype=np.int64)
     found: list[list[tuple[int, int]]] = [[] for _ in tvals]
 
-    out = np.empty((SEED_SPACE, block + ext), dtype=np.int64)
+    out = np.empty((SEED_SPACE, AUDIT_BLOCK + ext), dtype=np.int64)
     offset0 = 0
     while offset0 < horizon:
         np.multiply(states[:, None], powers[None, :], out=out)
@@ -267,7 +271,7 @@ def audit_candidate_streams(
         mask = lut[out & ((1 << lut_bits) - 1)]
         rows, cols = np.nonzero(mask)
         for r, c in zip(rows.tolist(), cols.tolist()):
-            if c >= block:
+            if c >= AUDIT_BLOCK:
                 continue          # belongs to the next block
             off = offset0 + c
             v0 = int(out[r, c])
@@ -280,5 +284,5 @@ def audit_candidate_streams(
                 if all(int(out[r, c + j]) == t[j] for j in range(len(t))):
                     found[ti].append((int(r), off))
         states = (states * step_mult) % MODULUS
-        offset0 += block
+        offset0 += AUDIT_BLOCK
     return found

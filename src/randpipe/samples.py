@@ -28,12 +28,10 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SampleTrace:
-    """An ordered sequence of 10-bit samples plus capture metadata."""
+    """An ordered sequence of 10-bit samples plus a label naming its source."""
 
     values: np.ndarray
     source_label: str = ""
-    pin: int | None = None
-    nominal_rate_hz: float | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.int64)
@@ -42,10 +40,6 @@ class SampleTrace:
         if arr.size and (arr.min() < 0 or arr.max() > SAMPLE_MAX):
             bad = arr[(arr < 0) | (arr > SAMPLE_MAX)][0]
             raise ValueError(f"sample value {bad} outside [0, {SAMPLE_MAX}]")
-        if self.pin is not None and not 0 <= self.pin <= 5:
-            raise ValueError(f"pin {self.pin} outside [0, 5]")
-        if self.nominal_rate_hz is not None and self.nominal_rate_hz <= 0:
-            raise ValueError("nominal_rate_hz must be positive")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -167,12 +161,15 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     return SampleTrace(np.array(out, dtype=np.int64), source_label=label)
 
 
-def load_trace(path: str | PathLike) -> SampleTrace:
-    """Read a sample file: one decimal value per line.
+def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
+    """Read a file of decimal integers in [lo, hi], one per line.
 
-    Lines starting with '#' and blank lines are skipped. Any other
-    malformed or out-of-range line is a hard error (silently clamping
-    would corrupt the value distribution the seed attack relies on).
+    This is the format of sample files and of observed-sequence files.
+    Lines starting with '#' and blank lines are skipped. A value is an
+    optional '-' followed by ASCII digits; `int()` alone would also take
+    '+5', '1_0' and non-ASCII digits. Any other malformed or out-of-range
+    line is a hard error (silently clamping would corrupt the value
+    distribution the seed attack relies on).
     """
     values = []
     try:
@@ -182,19 +179,26 @@ def load_trace(path: str | PathLike) -> SampleTrace:
     with fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                v = int(text)
-            except ValueError:
+            # Plain digits first: the common line takes one test, not three.
+            if not (text.isdigit() and text.isascii()):
+                if not text or text[0] == "#":
+                    continue
+                if not (text[0] == "-" and text[1:].isdigit() and text.isascii()):
+                    raise TraceFormatError(
+                        f"{path}: line {lineno}: not an integer: {text!r}"
+                    )
+            v = int(text)
+            if not lo <= v <= hi:
                 raise TraceFormatError(
-                    f"{path}: line {lineno}: not an integer: {text!r}"
-                ) from None
-            if not 0 <= v <= SAMPLE_MAX:
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: value {v} outside [0, {SAMPLE_MAX}]"
+                    f"{path}: line {lineno}: value {v} outside [{lo}, {hi}]"
                 )
             values.append(v)
+    return values
+
+
+def load_trace(path: str | PathLike) -> SampleTrace:
+    """Read a sample file: values in [0, SAMPLE_MAX] as `load_values` reads them."""
+    values = load_values(path, 0, SAMPLE_MAX)
     return SampleTrace(np.array(values, dtype=np.int64), source_label=str(path))
 
 

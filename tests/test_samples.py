@@ -35,10 +35,6 @@ class TestSampleTrace:
         with pytest.raises(ValueError):
             t.values[0] = 9
 
-    def test_bad_pin_rejected(self):
-        with pytest.raises(ValueError):
-            SampleTrace(np.array([1]), pin=6)
-
 
 class TestLoadTrace:
     def test_plain(self, tmp_path):
@@ -56,10 +52,18 @@ class TestLoadTrace:
     def test_out_of_range_reports_line(self, tmp_path):
         with pytest.raises(TraceFormatError, match="line 1"):
             load_trace(write(tmp_path, "1024\n"))
+        with pytest.raises(TraceFormatError, match=r"line 2: value -3 outside \[0, 1023\]"):
+            load_trace(write(tmp_path, "5\n-3\n"))
 
     def test_non_integer_reports_line(self, tmp_path):
         with pytest.raises(TraceFormatError, match="line 3"):
             load_trace(write(tmp_path, "1\n2\nxyz\n"))
+        # int() takes the first three; the sample grammar is -?[0-9]+ only
+        for text in ("1_0", "+5", "\u0661\u0662", "-", "--5", "- 5", "5.0", "\u00b2"):
+            with pytest.raises(TraceFormatError) as exc:
+                load_trace(write(tmp_path, f"1\n\n{text}\n"))
+            assert str(exc.value).endswith(f"line 3: not an integer: {text!r}")
+        assert load_trace(write(tmp_path, "007\n  12 \n")).values.tolist() == [7, 12]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError):
