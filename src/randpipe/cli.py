@@ -2,13 +2,15 @@
 
 Subcommands: simulate, extract, fipstest, intbits, lcg, crack, stats.
 Exit codes are uniform: 0 success / test passed, 1 domain failure
-(test rejected, seed not found, insufficient data, write failure),
-2 usage or input format error.
+(test rejected, seed not found, insufficient data, write failure) or
+stdout closed by its reader (as under `| head`), 2 usage or input format
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -205,19 +207,25 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; map its errors to exit codes and stderr lines.
 
     Reads turn OSError into a format error, so an OSError that reaches
-    here comes from writing the subcommand's output file. In a subcommand
-    without one, such as a broken stdout pipe under `lcg | head`, it
-    propagates.
+    here comes from writing: to the subcommand's output file, or to a
+    stdout pipe whose reader has gone. The latter exits 1 without a
+    message, as a reader that stops early is not an error to report.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except extract.InsufficientSamplesError as exc:
         _err(str(exc))
         return 1
     except ValueError as exc:
         _err(str(exc))
         return 2
+    except BrokenPipeError:
+        # With stdout on devnull, Python's own flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         out = getattr(args, "out", None)
         if out is None:

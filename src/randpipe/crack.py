@@ -2,31 +2,38 @@
 
 Only 1024 seed values exist, and on real hardware a few hundred of them
 account for nearly all readings. The search orders candidates by how
-often each value appeared in a sample capture, keeps a sliding window of
-the k most recent outputs per candidate, and advances the candidates
-round-robin until one window equals the observed output sequence.
+often each value appeared in a sample capture and visits them
+round-robin: phase 1 generates each candidate's first k outputs, then
+each phase-2 visit slides a candidate's k-output window by its quota,
+until one window equals the observed output sequence.
 
-Window slides restore generator state from the window's newest element:
-for this generator the next output is a function of the previous output
-alone, so re-seeding with the last output continues the stream exactly.
+The schedule is computed, not stepped. 16807 is a primitive root mod
+M = 2^31 - 1, so a window starting with s_0 sits (log s_0 - log x - 1)
+mod (2^31 - 2) outputs into the stream of state x. 2^31 - 2 =
+2 * 3^2 * 7 * 11 * 31 * 151 * 331 is smooth, so Pohlig-Hellman gives each
+logarithm from seven small subgroups. The winner, its offset and the
+step counts the stepped schedule would take follow from the 1024
+offsets and the quotas, at a cost that does not grow with the offset.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
-from .avrprng import MODULUS, MULTIPLIER
+from .avrprng import MODULUS, MULTIPLIER, stream
 from .samples import SampleTrace
 
 SEED_SPACE = 1024
 
-# Offsets per vectorized step of audit_candidate_streams; it bounds the
-# step's (SEED_SPACE, AUDIT_BLOCK + width - 1) int64 array to about 41 MB.
-AUDIT_BLOCK = 5000
+# Order of the multiplicative group mod MODULUS: the stream's cycle length.
+GROUP_ORDER = MODULUS - 1
+_PRIME_POWERS = (2, 9, 7, 11, 31, 151, 331)    # product: GROUP_ORDER
 
 
 @dataclass(frozen=True)
@@ -99,82 +106,92 @@ def _checked_sequence(s: Sequence[int]) -> list[int]:
     return vals
 
 
+def _is_arc(vals: Sequence[int]) -> bool:
+    """Whether vals are consecutive outputs of the generator."""
+    return 1 <= vals[0] < MODULUS and all(
+        b == a * MULTIPLIER % MODULUS for a, b in zip(vals, vals[1:]))
+
+
+@functools.cache
+def _subgroups() -> list[tuple[int, int, dict[int, int]]]:
+    """Pohlig-Hellman tables: per prime power q, the cofactor GROUP_ORDER / q,
+    the CRT weight that is 1 mod q and 0 mod the other prime powers, and
+    the logarithm of each element of the subgroup of order q."""
+    tables = []
+    for q in _PRIME_POWERS:
+        c = GROUP_ORDER // q
+        gen = pow(MULTIPLIER, c, MODULUS)
+        tables.append((c, c * pow(c, -1, q), {pow(gen, j, MODULUS): j for j in range(q)}))
+    return tables
+
+
+def _dlog(y: int) -> int:
+    """The e in [0, GROUP_ORDER) with 16807^e = y mod MODULUS, for y in [1, MODULUS - 1]."""
+    return sum(w * logs[pow(y, c, MODULUS)] for c, w, logs in _subgroups()) % GROUP_ORDER
+
+
+@functools.cache
+def _seed_logs() -> np.ndarray:
+    """The logarithm of each candidate seed i's state max(i mod M, 1).
+
+    Only primes take a Pohlig-Hellman logarithm; a composite's is the sum
+    of its factors' logarithms."""
+    logs = [0] * SEED_SPACE
+    for i in range(2, SEED_SPACE):
+        p = next((p for p in range(2, isqrt(i) + 1) if i % p == 0), i)
+        logs[i] = _dlog(i) if p == i else (logs[p] + logs[i // p]) % GROUP_ORDER
+    out = np.array(logs)
+    out.flags.writeable = False
+    return out
+
+
+def _offsets(first: int) -> np.ndarray:
+    """[i]: the smallest offset of a window starting with `first` in seed i's stream."""
+    return (_dlog(first) - _seed_logs() - 1) % GROUP_ORDER
+
+
 def _search(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
             optimized: bool) -> CrackResult:
+    """The outcome of the round-robin search, from each candidate's offset.
+
+    Phase 1 fills candidates' windows in order and stops at the first that
+    equals the sequence. Each phase-2 round slides every window in order
+    by up to its quota, stopping at a match, so a window first matching at
+    offset d does so in round (d - 1) // quota; the smallest (round,
+    position) wins. The budget is checked after phase 1 and after each
+    round, so 1024*(d + k) steps find a window d outputs into any stream.
+    """
     vals = _checked_sequence(s)
     k = len(vals)
-    s_dq = deque(vals)
-    s_last = vals[-1]
     order = dist.order
-    mult, mod = MULTIPLIER, MODULUS
     base = cfg.m + k
-    if optimized:
-        quotas = [cfg.t * base] * dist.observed_count \
-            + [base] * (len(order) - dist.observed_count)
-    else:
-        quotas = [base] * len(order)
+    weight = cfg.t if optimized else 1
+    quotas = [weight * base] * dist.observed_count + [base] * (len(order) - dist.observed_count)
 
-    def _slide_dict(slide_counts: list[int]) -> dict[int, int]:
-        return {order[i]: c for i, c in enumerate(slide_counts) if c}
-
-    # Phase 1: fill a k-window per candidate and test for a direct match.
-    windows: list[deque] = []
-    lasts: list[int] = []
-    total = 0
-    for i in order:
-        x = i % mod
-        if x == 0:
-            x = 1
-        w: deque = deque(maxlen=k)
-        append = w.append
-        for _ in range(k):
-            x = (mult * x) % mod
-            append(x)
-        total += k
-        if w == s_dq:
-            return CrackResult(seed=i, offset=0, total_steps=total)
-        windows.append(w)
-        lasts.append(x)
-
+    # d[i]: the smallest offset of the window in candidate order[i]'s
+    # stream. A window that is not an arc of the generator has none.
+    d = _offsets(vals[0])[list(order)] if _is_arc(vals) else None
+    if d is not None and d.min() == 0:
+        win = int(np.argmin(d))
+        return CrackResult(seed=order[win], offset=0, total_steps=(win + 1) * k)
+    total = len(order) * k
     if total > cfg.max_total_steps:
         return CrackResult(seed=None, offset=None, total_steps=total)
 
-    # Phase 2: round-robin; each visit slides one candidate's window by
-    # its quota, comparing after every slide. The last element is checked
-    # first since window equality requires it; a full comparison runs
-    # only on that rare hit. The budget is enforced at round boundaries,
-    # which keeps a budget of 1024*(d + k) sufficient whenever the
-    # observed sequence starts d outputs into some candidate's stream.
-    slides = [0] * len(order)
-    while True:
-        for idx in range(len(order)):
-            x = lasts[idx]
-            w = windows[idx]
-            append = w.append
-            hit = 0
-            for j in range(1, quotas[idx] + 1):
-                x = (mult * x) % mod
-                append(x)
-                if x == s_last and w == s_dq:
-                    hit = j
-                    break
-            lasts[idx] = x
-            if hit:
-                slides[idx] += hit
-                total += hit
-                return CrackResult(
-                    seed=order[idx],
-                    offset=slides[idx],
-                    total_steps=total,
-                    slides_by_seed=_slide_dict(slides),
-                )
-            slides[idx] += quotas[idx]
-            total += quotas[idx]
-        if total > cfg.max_total_steps:
-            return CrackResult(
-                seed=None, offset=None, total_steps=total,
-                slides_by_seed=_slide_dict(slides),
-            )
+    # The budget check fails after phase-2 round last_round, counted from 0.
+    last_round = (cfg.max_total_steps - total) // sum(quotas)
+    seed = offset = None
+    slides = [(last_round + 1) * q for q in quotas]
+    if d is not None:
+        rounds = (d - 1) // np.array(quotas)
+        win = int(np.argmin(rounds))
+        r = int(rounds[win])
+        if r <= last_round:
+            slides = [(r + (i < win)) * q for i, q in enumerate(quotas)]
+            seed, offset = order[win], int(d[win])
+            slides[win] = offset
+    return CrackResult(seed=seed, offset=offset, total_steps=total + sum(slides),
+                       slides_by_seed={order[i]: c for i, c in enumerate(slides) if c})
 
 
 def find_seed(s: Sequence[int], cfg: CrackConfig, dist: ProbDist) -> CrackResult:
@@ -191,30 +208,23 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     """Smallest c <= max_offset with stream(g) outputs c+1..c+k equal to s.
 
     Independent post-check for search results: it regenerates the stream
-    directly instead of trusting any search bookkeeping.
+    directly instead of trusting any search bookkeeping. It first jumps to
+    max_offset, where a search's answer lies, with one modular power; a
+    window found there recurs every 2^31 - 2 outputs, so its smallest
+    offset is max_offset mod 2^31 - 2. Otherwise it scans from offset 0.
     """
     if max_offset < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
-    k = len(vals)
-    s_dq = deque(vals)
-    s_last = vals[-1]
-    mult, mod = MULTIPLIER, MODULUS
-    x = g % mod
-    if x == 0:
-        x = 1
-    w: deque = deque(maxlen=k)
-    append = w.append
-    for _ in range(k):
-        x = (mult * x) % mod
-        append(x)
-    if w == s_dq:
-        return 0
-    for c in range(1, max_offset + 1):
-        x = (mult * x) % mod
-        append(x)
-        if x == s_last and w == s_dq:
+    x = g % MODULUS or 1
+    if stream(x * pow(MULTIPLIER, max_offset, MODULUS), len(vals)) == vals:
+        return max_offset % GROUP_ORDER
+    target = deque(vals)
+    window = deque(stream(x, len(vals)), maxlen=len(vals))
+    for c in range(max_offset + 1):
+        if window == target:
             return c
+        window.append(MULTIPLIER * window[-1] % MODULUS)
     return None
 
 
@@ -224,65 +234,21 @@ def audit_candidate_streams(
 ) -> list[list[tuple[int, int]]]:
     """Find every occurrence of each target window among candidate streams.
 
-    Scans the first `horizon` outputs of all 1024 candidate streams for
-    windows equal to each target (windows must lie fully inside the
-    horizon). Returns, per target, the list of (seed, offset) pairs where
-    the target occurs; offset counts outputs before the window.
-
-    Streams are generated in blocks of AUDIT_BLOCK offsets via
-    precomputed multiplier powers:
-    output j of state x is (x * 16807^(j+1)) mod (2^31 - 1), so a whole
-    block of every stream is one vectorized multiply.
+    Covers the first `horizon` outputs of all 1024 candidate streams
+    (windows must lie fully inside the horizon). Returns, per target, the
+    (seed, offset) pairs where the target occurs, by seed and then offset;
+    offset counts outputs before the window. Only a target that is an arc
+    of the generator occurs, and in each stream exactly at the offsets
+    congruent to its smallest one mod 2^31 - 2.
     """
     tvals = [tuple(int(v) for v in t) for t in targets]
     if not tvals or any(len(t) < 1 for t in tvals):
         raise ValueError("targets must be non-empty windows")
-    width = max(len(t) for t in tvals)
-
-    by_first: dict[int, list[int]] = {}
-    for ti, t in enumerate(tvals):
-        by_first.setdefault(t[0], []).append(ti)
-
-    # Cheap prefilter: hash first values into a 2^20 lookup table, then
-    # confirm candidates exactly. Collisions just cost a dict probe.
-    lut_bits = 20
-    lut = np.zeros(1 << lut_bits, dtype=bool)
-    for v in by_first:
-        lut[v & ((1 << lut_bits) - 1)] = True
-
-    ext = width - 1
-    powers = np.empty(AUDIT_BLOCK + ext, dtype=np.int64)
-    p = 1
-    for j in range(AUDIT_BLOCK + ext):
-        p = (p * MULTIPLIER) % MODULUS
-        powers[j] = p
-    step_mult = int(pow(MULTIPLIER, AUDIT_BLOCK, MODULUS))
-
-    # Candidate seed i starts from state max(i mod M, 1); seed 0 shares
-    # seed 1's stream.
-    states = np.array([1] + list(range(1, SEED_SPACE)), dtype=np.int64)
     found: list[list[tuple[int, int]]] = [[] for _ in tvals]
-
-    out = np.empty((SEED_SPACE, AUDIT_BLOCK + ext), dtype=np.int64)
-    offset0 = 0
-    while offset0 < horizon:
-        np.multiply(states[:, None], powers[None, :], out=out)
-        np.remainder(out, MODULUS, out=out)
-        mask = lut[out & ((1 << lut_bits) - 1)]
-        rows, cols = np.nonzero(mask)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            if c >= AUDIT_BLOCK:
-                continue          # belongs to the next block
-            off = offset0 + c
-            v0 = int(out[r, c])
-            if v0 not in by_first:
-                continue
-            for ti in by_first[v0]:
-                t = tvals[ti]
-                if off + len(t) > horizon:
-                    continue
-                if all(int(out[r, c + j]) == t[j] for j in range(len(t))):
-                    found[ti].append((int(r), off))
-        states = (states * step_mult) % MODULUS
-        offset0 += AUDIT_BLOCK
+    for t, pairs in zip(tvals, found):
+        if _is_arc(t):
+            row = _offsets(t[0])
+            last = horizon - len(t)
+            pairs.extend((seed, c) for seed in np.flatnonzero(row <= last).tolist()
+                         for c in range(int(row[seed]), last + 1, GROUP_ORDER))
     return found

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .samples import SampleTrace
+from .samples import SampleTrace, _read_text
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
@@ -172,12 +172,8 @@ def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise BitFormatError(f"{path}: cannot read: {exc}") from exc
     out = []
-    with fh:
+    with _read_text(path, BitFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
             for ch in line:
                 if ch == "0":

@@ -11,9 +11,11 @@ interference) with no claim of physical fidelity.
 from __future__ import annotations
 
 import random as _pyrandom
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import pi, sin
 from os import PathLike
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -161,6 +163,28 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     return SampleTrace(np.array(out, dtype=np.int64), source_label=label)
 
 
+@contextmanager
+def _read_text(path: str | PathLike, error: type[ValueError]) -> Iterator[TextIO]:
+    """Open a UTF-8 input file; failing to read it raises `error` naming the path."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except UnicodeDecodeError:
+        # Text mode decodes ahead of the lines it hands out, so find the
+        # line again; splitlines ends lines where text mode does.
+        with open(path, "rb") as raw:
+            for lineno, line in enumerate(raw.read().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise error(f"{path}: line {lineno}: not UTF-8") from None
+        raise
+
+
 def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
     """Read a file of decimal integers in [lo, hi], one per line.
 
@@ -172,11 +196,7 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
     distribution the seed attack relies on).
     """
     values = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
-    with fh:
+    with _read_text(path, TraceFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             # Plain digits first: the common line takes one test, not three.

@@ -252,6 +252,19 @@ def test_criterion_7_stream_collision_audit():
            len(collisions) == 0 and elapsed < 300.0, detail)
 
 
+def test_collision_audit_artifact_matches_audit():
+    """The cached occurrences criterion 7 reads equal, per target, what
+    audit_candidate_streams computes for its targets at horizon 10^6."""
+    horizon = 10**6
+    fixtures, _ = recovery_fixtures()
+    targets = [s[:3] for _, _, s in fixtures]
+    data = json.loads((ARTIFACTS / "collision_audit.json").read_text())
+    assert data["digest"] == _fixture_digest(targets, horizon)
+    found = audit_candidate_streams(targets, horizon=horizon)
+    assert [set(f) for f in found] == \
+        [{tuple(o) for o in occ} for occ in data["occurrences"]]
+
+
 def test_criterion_8_analogread_rejection_pipeline(tmp_path):
     trace_file = tmp_path / "band.txt"
     bits_file = tmp_path / "band_bits.txt"

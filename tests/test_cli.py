@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,6 +150,10 @@ class TestExtract:
         assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 2
         assert stderr_of(capsys) == f"error: {trace_file}: line 2: not an integer: 'bogus'\n"
+        trace_file.write_bytes(b"1\n\xff\n")
+        assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
+                   "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == f"error: {trace_file}: line 2: not UTF-8\n"
         nope = tmp_path / "nope.txt"
         assert run("extract", "--in", str(nope), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 2
@@ -171,6 +180,9 @@ class TestFipstest:
         bit_file.write_text("01\n0120\n")
         assert run("fipstest", "--in", str(bit_file)) == 2
         assert stderr_of(capsys) == f"error: {bit_file}: line 2: invalid character '2'\n"
+        bit_file.write_bytes(b"01\r\n01\r\n0\xc3\n")
+        assert run("fipstest", "--in", str(bit_file)) == 2
+        assert stderr_of(capsys) == f"error: {bit_file}: line 3: not UTF-8\n"
 
     def test_reference_bits_pass(self, tmp_path, capsys):
         bit_file = tmp_path / "b.txt"
@@ -282,6 +294,10 @@ class TestCrack:
             assert run("crack", "--sequence", str(seq_file),
                        "--samples", str(samples_file)) == 2
             assert stderr_of(capsys) == f"error: {seq_file}: line 2: not an integer: {text!r}\n"
+        seq_file.write_bytes(b"# \xe9t\xe9\n16807\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == f"error: {seq_file}: line 1: not UTF-8\n"
         nope = tmp_path / "nope.txt"
         assert run("crack", "--sequence", str(nope),
                    "--samples", str(samples_file)) == 2
@@ -308,6 +324,18 @@ class TestCrack:
         assert run("crack", "--sequence", str(seq_file),
                    "--samples", str(samples_file)) == 2
         assert stderr_of(capsys) == f"error: {seq_file}: no observed values\n"
+
+
+    def test_window_not_an_arc(self, tmp_path, capsys):
+        # No candidate stream holds a window whose values are not
+        # consecutive outputs; the search reports the default budget spent.
+        seq_file, samples_file = self.make_instance(tmp_path)
+        seq_file.write_text("16807\n16807\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file), "--stats") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "stats: total-steps=1000091648\n"
+        assert captured.err == "error: seed not found within 1000000000 steps\n"
 
 
 class TestStats:
@@ -360,3 +388,19 @@ def test_unwritable_output(tmp_path, capsys, argv):
     err = stderr_of(capsys)
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # A reader that stops early, as `randpipe lcg ... | head -1` does, gets
+    # exit code 1 and no traceback or message on stderr.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "randpipe", "lcg", "--seed", "1", "--count", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"16807\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

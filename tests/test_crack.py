@@ -5,6 +5,7 @@ import pytest
 
 from randpipe.avrprng import MODULUS, stream
 from randpipe.crack import (
+    GROUP_ORDER,
     CrackConfig,
     audit_candidate_streams,
     build_prob_dist,
@@ -13,6 +14,8 @@ from randpipe.crack import (
     verify_seed,
 )
 from randpipe.samples import SampleTrace
+
+from crack_oracle import audit_scan, search_loop, verify_scan
 
 
 def trace(vals):
@@ -201,3 +204,149 @@ class TestAudit:
         w = tuple(stream(1, 3))
         found = audit_candidate_streams([w], horizon=100)
         assert (0, 0) in found[0] and (1, 0) in found[0]
+
+
+def fields(result):
+    return (result.seed, result.offset, result.total_steps, result.slides_by_seed)
+
+
+def assert_matches_loop(s, cfg, dist, optimized):
+    search = find_seed_opt if optimized else find_seed
+    assert fields(search(s, cfg, dist)) == fields(search_loop(s, cfg, dist, optimized))
+
+
+def round_steps(k, cfg, dist, optimized):
+    """Q: the steps of one phase-2 round, the sum of the quotas."""
+    weight = cfg.t if optimized else 1
+    return (cfg.m + k) * (weight * dist.observed_count + 1024 - dist.observed_count)
+
+
+def broken(window, rng):
+    """window with one value changed, so it is no arc of the generator."""
+    out = list(window)
+    i = rng.randrange(len(out))
+    out[i] = out[i] % (MODULUS - 1) + 1
+    return out
+
+
+class TestClosedFormAgainstLoop:
+    """find_seed/find_seed_opt against the stepped round-robin search."""
+
+    def test_random_instances(self):
+        rng = pyrandom.Random(83)
+        dists = [band_dist(), build_prob_dist(trace([])),
+                 build_prob_dist(trace([1, 1, 0, 700]))]
+        for _ in range(40):
+            dist = rng.choice(dists)
+            k = rng.choice((1, 3, 100))
+            g = rng.choice((0, 1, 335, 338, 700, 901, rng.randrange(1024)))
+            d = rng.choice((0, rng.randint(1, 300)))
+            cfg = CrackConfig(m=rng.choice((1, 10, 100)), t=rng.choice((1, 4)))
+            s = stream(g, d + k)[d:]
+            assert_matches_loop(s, cfg, dist, optimized=rng.random() < 0.5)
+
+    @pytest.mark.parametrize("observed", [[0, 0, 1], [1, 1, 0]])
+    def test_seeds_zero_and_one_share_a_stream(self, observed):
+        # srandom maps seed 0 to state 1, so the first of 0 and 1 in the
+        # ranking wins, with the same offset either way.
+        dist = build_prob_dist(trace(observed))
+        for d in (0, 5, 250):
+            s = stream(1, d + 3)[d:]
+            for optimized in (False, True):
+                assert_matches_loop(s, CrackConfig(m=1, t=4), dist, optimized)
+                assert find_seed(s, CrackConfig(m=1), dist).seed == observed[0]
+
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_match_at_last_slide_of_a_visit(self, optimized):
+        # An offset that is a multiple of the quota matches on the visit's
+        # last slide, one round earlier than the offset after it.
+        dist = band_dist()
+        for k in (1, 3):
+            cfg = CrackConfig(m=5, t=4)
+            for g, weight in ((338, cfg.t if optimized else 1), (700, 1)):
+                quota = weight * (cfg.m + k)
+                for d in (quota, 2 * quota, 2 * quota + 1):
+                    assert_matches_loop(stream(g, d + k)[d:], cfg, dist, optimized)
+
+    @pytest.mark.parametrize("k", [1, 3, 100])
+    @pytest.mark.parametrize("optimized", [False, True])
+    def test_budgets_at_round_boundaries(self, k, optimized):
+        # The budget is checked after phase 1 (T1 = 1024*k steps) and after
+        # each round of Q steps; the window sits in round 2 of seed 700.
+        dist = band_dist()
+        cfg = CrackConfig(m=5, t=4)
+        q = round_steps(k, cfg, dist, optimized)
+        t1 = 1024 * k
+        s = stream(700, 2 * (cfg.m + k) + 2 + k)[2 * (cfg.m + k) + 2:]
+        for budget in (t1 - 1, t1, t1 + 1, *(t1 + r * q + e for r in (1, 2, 3)
+                                             for e in (-1, 0, 1))):
+            cfg = CrackConfig(m=5, t=4, max_total_steps=budget)
+            assert_matches_loop(s, cfg, dist, optimized)
+
+    def test_inconsistent_windows_under_small_budgets(self):
+        rng = pyrandom.Random(89)
+        dist = band_dist()
+        for k in (2, 3, 100):
+            window = broken(stream(rng.randrange(1024), k + 7)[7:], rng)
+            for optimized in (False, True):
+                cfg = CrackConfig(m=1, t=4)
+                q = round_steps(k, cfg, dist, optimized)
+                for budget in (1, 1024 * k, 1024 * k + 1, 1024 * k + 3 * q + 1):
+                    cfg = CrackConfig(m=1, t=4, max_total_steps=budget)
+                    assert_matches_loop(window, cfg, dist, optimized)
+                    assert find_seed(window, cfg, dist).seed is None
+
+
+class TestAuditAgainstScan:
+    """audit_candidate_streams against the block-by-block stream scan."""
+
+    def test_matches_scan(self):
+        rng = pyrandom.Random(97)
+        targets = []
+        for width in (1, 2, 3, 5):
+            for _ in range(4):
+                g, off = rng.randrange(1024), rng.randrange(0, 4990)
+                targets.append(stream(g, off + width)[off:])
+        targets += [broken(stream(17, 9)[4:], rng), broken(stream(1, 2), rng),
+                    [0], [MODULUS], [MODULUS + 16807], [-5, 3], [16807, 0],
+                    stream(0, 3), stream(300, 4995)[4990:]]
+        for horizon in (1, 3, 2000, 4995, 5000):
+            ends = [stream(g, horizon)[horizon - w:] for g, w in ((9, 1), (512, 3))
+                    if horizon >= w]
+            found = audit_candidate_streams(targets + ends, horizon=horizon)
+            expected = audit_scan(targets + ends, horizon=horizon)
+            assert [set(f) for f in found] == [set(e) for e in expected]
+            assert all(f == sorted(f) for f in found)
+            assert (9, horizon - 1) in found[len(targets)]
+        assert (300, 4990) in found[len(targets) - 1]
+
+    def test_offsets_repeat_with_the_cycle(self):
+        w = stream(338, 43)[40:]
+        found = audit_candidate_streams([w], horizon=43 + 2 * GROUP_ORDER)
+        assert [o for o in found[0] if o[0] == 338] == \
+            [(338, 40), (338, 40 + GROUP_ORDER), (338, 40 + 2 * GROUP_ORDER)]
+
+
+class TestVerifySeedAgainstScan:
+    def test_matches_and_misses(self):
+        rng = pyrandom.Random(101)
+        for _ in range(30):
+            g = rng.randrange(1024)
+            d = rng.randrange(0, 400)
+            k = rng.choice((1, 3, 20))
+            s = stream(g, d + k)[d:]
+            for max_offset in (d, d + rng.randint(1, 50), max(d - 1, 0)):
+                assert verify_seed(g, s, max_offset) == verify_scan(g, s, max_offset)
+            other = rng.randrange(1024)
+            assert verify_seed(other, s, d) == verify_scan(other, s, d)
+            if k > 1:
+                b = broken(s, rng)
+                assert verify_seed(g, b, d) is None
+                assert verify_scan(g, b, d) is None
+
+    def test_smallest_offset_past_a_cycle(self):
+        # A match at max_offset recurs every 2^31 - 2 outputs; the
+        # smallest offset is max_offset reduced by whole cycles.
+        s = stream(99, 130)[30:]
+        assert verify_seed(99, s, 30 + GROUP_ORDER) == 30
+        assert verify_seed(0, stream(1, 3), 2 * GROUP_ORDER) == 0
