@@ -35,6 +35,65 @@ def missing(path):
     return f"{path}: cannot read: [Errno 2] No such file or directory: '{path}'"
 
 
+ZEROS_REPORT = """\
+n0: 20000
+n1: 0
+x1: 20000.0000
+monobit_df: 1
+monobit: FAIL
+x3: 75000.0000
+poker_df: 15
+poker: FAIL
+block_1: 0
+block_2: 0
+block_3: 0
+block_4: 0
+block_5: 0
+block_6: 0
+gap_1: 0
+gap_2: 0
+gap_3: 0
+gap_4: 0
+gap_5: 0
+gap_6: 1
+x4: 9842.3019
+runs_df: 16
+runs: FAIL
+longest_run: 20000
+long_runs: FAIL
+OVERALL: FAIL
+"""
+
+ALTERNATING_REPORT = """\
+n0: 10000
+n1: 10000
+x1: 0.0000
+monobit_df: 1
+monobit: PASS
+x3: 75000.0000
+poker_df: 15
+poker: FAIL
+block_1: 10000
+block_2: 0
+block_3: 0
+block_4: 0
+block_5: 0
+block_6: 0
+gap_1: 10000
+gap_2: 0
+gap_3: 0
+gap_4: 0
+gap_5: 0
+gap_6: 0
+x4: 49836.2899
+runs_df: 16
+runs: FAIL
+longest_run: 1
+long_runs: PASS
+OVERALL: FAIL
+"""
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -189,6 +248,18 @@ class TestFipstest:
         bit_file.write_text("".join(map(str, crypto_bits("cli", 20000))))
         assert run("fipstest", "--in", str(bit_file)) == 0
         assert capsys.readouterr().out.strip().endswith("OVERALL: PASS")
+
+    @pytest.mark.parametrize("bits,expected", [
+        ("0" * 20000, ZEROS_REPORT),
+        ("01" * 10000, ALTERNATING_REPORT),
+    ], ids=["zeros", "alternating"])
+    def test_report_text(self, tmp_path, capsys, bits, expected):
+        bit_file = tmp_path / "b.txt"
+        bit_file.write_text(bits + "\n")
+        assert run("fipstest", "--in", str(bit_file)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
 
     def test_missing_file(self, tmp_path, capsys):
         nope = tmp_path / "nope.txt"
