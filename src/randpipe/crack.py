@@ -19,7 +19,6 @@ offsets and the quotas, at a cost that does not grow with the offset.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Sequence
@@ -52,8 +51,7 @@ class ProbDist:
 
 def build_prob_dist(trace: SampleTrace) -> ProbDist:
     """Frequency-rank the 1024 possible seed values from a sample trace."""
-    counts = np.bincount(trace.values, minlength=SEED_SPACE) if len(trace) \
-        else np.zeros(SEED_SPACE, dtype=np.int64)
+    counts = np.bincount(trace.values, minlength=SEED_SPACE)
     observed = [int(v) for v in np.flatnonzero(counts)]
     observed.sort(key=lambda v: (-int(counts[v]), v))
     unobserved = [v for v in range(SEED_SPACE) if counts[v] == 0]
@@ -207,24 +205,18 @@ def find_seed_opt(s: Sequence[int], cfg: CrackConfig, dist: ProbDist) -> CrackRe
 def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     """Smallest c <= max_offset with stream(g) outputs c+1..c+k equal to s.
 
-    Independent post-check for search results: it regenerates the stream
-    directly instead of trusting any search bookkeeping. It first jumps to
-    max_offset, where a search's answer lies, with one modular power; a
-    window found there recurs every 2^31 - 2 outputs, so its smallest
-    offset is max_offset mod 2^31 - 2. Otherwise it scans from offset 0.
+    Independent post-check for search results. The logarithms name the
+    only offset c in [0, 2^31 - 2) where the window can start, and the
+    stream is regenerated there, so a wrong logarithm can only reject,
+    never accept. The stream is one cycle, so no smaller offset matches.
     """
     if max_offset < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
     x = g % MODULUS or 1
-    if stream(x * pow(MULTIPLIER, max_offset, MODULUS), len(vals)) == vals:
-        return max_offset % GROUP_ORDER
-    target = deque(vals)
-    window = deque(stream(x, len(vals)), maxlen=len(vals))
-    for c in range(max_offset + 1):
-        if window == target:
-            return c
-        window.append(MULTIPLIER * window[-1] % MODULUS)
+    c = (_dlog(vals[0]) - _dlog(x) - 1) % GROUP_ORDER
+    if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
+        return c
     return None
 
 

@@ -19,14 +19,13 @@ uint8 arrays of 0/1 values.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from os import PathLike
 from typing import Sequence
 
 import numpy as np
 
-from .samples import SampleTrace, _read_text
+from .samples import SampleTrace, _open_text, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
@@ -101,28 +100,20 @@ def raw_mean(trace: SampleTrace, k: int) -> np.ndarray:
     """Window-mean comparison; floor((len - k) / 2) raw bits.
 
     A window of the k most recent values is seeded with the first k
-    samples. Each iteration consumes two samples: the first replaces the
+    samples. Each step consumes two samples: the first replaces the
     oldest window entry, then the second is compared against
-    ceil(window mean). The window sum is kept as an exact integer, so
-    the ceiling threshold is never subject to float rounding.
+    ceil(window mean). Window sums are exact integer differences of
+    cumulative sums, so the ceiling threshold is never subject to float
+    rounding.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(trace)
-    if n < k + 2:
+    if len(trace) < k + 2:
         raise InsufficientSamplesError(f"mean with k={k} needs at least {k + 2} samples")
-    vals = trace.values.tolist()
-    window = deque(vals[:k])
-    total = sum(window)
-    out = []
-    i = k
-    while i + 1 < n:
-        total += vals[i] - window.popleft()
-        window.append(vals[i])
-        m = -(-total // k)          # ceil(total / k), total >= 0
-        out.append(1 if vals[i + 1] > m else 0)
-        i += 2
-    return np.array(out, dtype=np.uint8)
+    v = trace.values
+    sums = np.cumsum(np.concatenate((v[:k], v[k:-1:2])))
+    ceil_means = -(-(sums[k:] - sums[:-k]) // k)
+    return (v[k + 1::2] > ceil_means).astype(np.uint8)
 
 
 def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
@@ -134,10 +125,8 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
     shorter length, and apply_vn controls the final correction pass.
     """
     if cfg.algorithm == "mixmeanupdown":
-        mean_sub = SampleTrace(trace.values[0::2], source_label=trace.source_label)
-        updown_sub = SampleTrace(trace.values[1::2], source_label=trace.source_label)
-        mean_bits = von_neumann(raw_mean(mean_sub, cfg.window_k))
-        updown_bits = von_neumann(raw_updown(updown_sub))
+        mean_bits = von_neumann(raw_mean(SampleTrace(trace.values[0::2]), cfg.window_k))
+        updown_bits = von_neumann(raw_updown(SampleTrace(trace.values[1::2])))
         n = min(mean_bits.size, updown_bits.size)
         mixed = mean_bits[:n] ^ updown_bits[:n]
         return von_neumann(mixed) if cfg.apply_vn else mixed
@@ -173,7 +162,7 @@ def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
     out = []
-    with _read_text(path, BitFormatError) as fh:
+    with _open_text(path, BitFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
             for ch in line:
                 if ch == "0":
@@ -181,7 +170,6 @@ def read_bits(path: str | PathLike) -> np.ndarray:
                 elif ch == "1":
                     out.append(1)
                 elif not ch.isspace():
-                    raise BitFormatError(
-                        f"{path}: line {lineno}: invalid character {ch!r}"
-                    )
+                    what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
+                    raise BitFormatError(f"{path}: line {lineno}: {what}")
     return np.array(out, dtype=np.uint8)

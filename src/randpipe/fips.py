@@ -18,7 +18,6 @@ informational. No p-values are computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ REQUIRED_LENGTH = 20000
 
 MONOBIT_LOW, MONOBIT_HIGH = 9654, 10346          # exclusive bounds on n1
 POKER_LOW, POKER_HIGH = 1.03, 57.4               # exclusive bounds on x3
+POKER_M = 4                                      # bits per poker hand
 LONG_RUN_LIMIT = 34                              # longest permitted run
 
 # Required inclusive intervals for run counts, per run length 1..6.
@@ -111,21 +111,19 @@ def monobit(s: Sequence[int] | np.ndarray) -> MonobitResult:
     return MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH)
 
 
-def poker(s: Sequence[int] | np.ndarray, m: int = 4) -> PokerResult:
-    """Frequency of m-bit hands; passes iff 1.03 < x3 < 57.4.
+def poker(s: Sequence[int] | np.ndarray) -> PokerResult:
+    """Frequency of 4-bit hands; passes iff 1.03 < x3 < 57.4.
 
-    The sequence is cut into k = floor(n/m) disjoint m-bit chunks, each
-    read MSB-first as an integer in [0, 2^m). x3 = (2^m / k) * sum(n_i^2) - k.
+    The sequence is cut into k = 5000 disjoint 4-bit hands, each read
+    MSB-first as an integer in [0, 16). x3 = (16 / k) * sum(n_i^2) - k.
     """
     bits = as_bit_array(s)
     _require_length(bits)
-    k = bits.size // m
-    if k < 5 * 2**m:
-        raise ValueError(f"poker test needs floor(n/m) >= {5 * 2**m}, got {k}")
-    weights = (1 << np.arange(m - 1, -1, -1)).astype(np.int64)
-    vals = bits[: k * m].reshape(k, m).astype(np.int64) @ weights
-    counts = np.bincount(vals, minlength=2**m)
-    x3 = (2**m / k) * float((counts * counts).sum()) - k
+    k = REQUIRED_LENGTH // POKER_M
+    weights = 1 << np.arange(POKER_M - 1, -1, -1)
+    vals = bits.reshape(k, POKER_M).astype(np.int64) @ weights
+    counts = np.bincount(vals, minlength=2**POKER_M)
+    x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
     return PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH,
                        counts=tuple(int(c) for c in counts))
 
@@ -168,63 +166,29 @@ def long_runs(s: Sequence[int] | np.ndarray) -> LongRunsResult:
     return LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT)
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """All four test results for one 20000-bit sequence."""
 
     __test__ = False          # keep pytest from collecting this class
 
-    n0: int
-    n1: int
-    x1: float
-    monobit_passed: bool
-    x3: float
-    poker_counts: tuple[int, ...]
-    poker_passed: bool
-    block_counts: tuple[int, ...]
-    gap_counts: tuple[int, ...]
-    x4: float
-    runs_passed: bool
-    longest_run: int
-    long_runs_passed: bool
+    monobit: MonobitResult
+    poker: PokerResult
+    runs: RunsResult
+    long_runs: LongRunsResult
 
     @property
     def verdicts(self) -> dict[str, bool]:
-        return {
-            "monobit": self.monobit_passed,
-            "poker": self.poker_passed,
-            "runs": self.runs_passed,
-            "long_runs": self.long_runs_passed,
-        }
+        return {name: r.passed for name, r in zip(self._fields, self)}
 
     @property
     def overall(self) -> bool:
-        return all(self.verdicts.values())
+        return all(r.passed for r in self)
 
 
 def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     """Run all four tests; overall passes only if every test passes."""
     bits = as_bit_array(s)
-    _require_length(bits)
-    mono = monobit(bits)
-    pok = poker(bits)
-    run = runs(bits)
-    lng = long_runs(bits)
-    return TestReport(
-        n0=REQUIRED_LENGTH - mono.n1,
-        n1=mono.n1,
-        x1=mono.x1,
-        monobit_passed=mono.passed,
-        x3=pok.x3,
-        poker_counts=pok.counts,
-        poker_passed=pok.passed,
-        block_counts=run.block_counts,
-        gap_counts=run.gap_counts,
-        x4=run.x4,
-        runs_passed=run.passed,
-        longest_run=lng.longest_run,
-        long_runs_passed=lng.passed,
-    )
+    return TestReport(monobit(bits), poker(bits), runs(bits), long_runs(bits))
 
 
 def _verdict(passed: bool) -> str:
@@ -233,26 +197,27 @@ def _verdict(passed: bool) -> str:
 
 def format_report(report: TestReport) -> str:
     """Render a report as 'key: value' lines ending in the OVERALL line."""
+    mono, pok, run, lng = report
     lines = [
-        f"n0: {report.n0}",
-        f"n1: {report.n1}",
-        f"x1: {report.x1:.4f}",
+        f"n0: {REQUIRED_LENGTH - mono.n1}",
+        f"n1: {mono.n1}",
+        f"x1: {mono.x1:.4f}",
         f"monobit_df: {MONOBIT_DF}",
-        f"monobit: {_verdict(report.monobit_passed)}",
-        f"x3: {report.x3:.4f}",
+        f"monobit: {_verdict(mono.passed)}",
+        f"x3: {pok.x3:.4f}",
         f"poker_df: {POKER_DF}",
-        f"poker: {_verdict(report.poker_passed)}",
+        f"poker: {_verdict(pok.passed)}",
     ]
     for i in range(1, 7):
-        lines.append(f"block_{i}: {report.block_counts[i - 1]}")
+        lines.append(f"block_{i}: {run.block_counts[i - 1]}")
     for i in range(1, 7):
-        lines.append(f"gap_{i}: {report.gap_counts[i - 1]}")
+        lines.append(f"gap_{i}: {run.gap_counts[i - 1]}")
     lines += [
-        f"x4: {report.x4:.4f}",
+        f"x4: {run.x4:.4f}",
         f"runs_df: {RUNS_DF}",
-        f"runs: {_verdict(report.runs_passed)}",
-        f"longest_run: {report.longest_run}",
-        f"long_runs: {_verdict(report.long_runs_passed)}",
+        f"runs: {_verdict(run.passed)}",
+        f"longest_run: {lng.longest_run}",
+        f"long_runs: {_verdict(lng.passed)}",
         f"OVERALL: {_verdict(report.overall)}",
     ]
     return "\n".join(lines)

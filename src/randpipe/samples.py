@@ -11,11 +11,10 @@ interference) with no claim of physical fidelity.
 from __future__ import annotations
 
 import random as _pyrandom
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import pi, sin
 from os import PathLike
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -30,10 +29,9 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SampleTrace:
-    """An ordered sequence of 10-bit samples plus a label naming its source."""
+    """An ordered sequence of 10-bit samples."""
 
     values: np.ndarray
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.int64)
@@ -159,30 +157,24 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
             v = out[i] + round(model.amplitude * sin(2.0 * pi * i / model.period))
             out[i] = min(max(v, 0), SAMPLE_MAX)
 
-    label = f"synth:{model.kind}(seed={model.rng_seed})"
-    return SampleTrace(np.array(out, dtype=np.int64), source_label=label)
+    return SampleTrace(np.array(out, dtype=np.int64))
 
 
-@contextmanager
-def _read_text(path: str | PathLike, error: type[ValueError]) -> Iterator[TextIO]:
-    """Open a UTF-8 input file; failing to read it raises `error` naming the path."""
+def _open_text(path: str | PathLike, error: type[ValueError]) -> TextIO:
+    """Open an input file as UTF-8; failing to open it raises `error` naming the path.
+
+    Bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
+    so the parser reports them as it meets them, in line order.
+    """
     try:
-        fh = open(path, encoding="utf-8")
+        return open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc}") from exc
-    try:
-        with fh:
-            yield fh
-    except UnicodeDecodeError:
-        # Text mode decodes ahead of the lines it hands out, so find the
-        # line again; splitlines ends lines where text mode does.
-        with open(path, "rb") as raw:
-            for lineno, line in enumerate(raw.read().splitlines(), 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise error(f"{path}: line {lineno}: not UTF-8") from None
-        raise
+
+
+def _undecodable(text: str) -> bool:
+    """Whether text, read through `_open_text`, holds bytes that are not UTF-8."""
+    return any("\udc80" <= ch <= "\udcff" for ch in text)
 
 
 def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
@@ -196,11 +188,13 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
     distribution the seed attack relies on).
     """
     values = []
-    with _read_text(path, TraceFormatError) as fh:
+    with _open_text(path, TraceFormatError) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             # Plain digits first: the common line takes one test, not three.
             if not (text.isdigit() and text.isascii()):
+                if not text.isascii() and _undecodable(text):
+                    raise TraceFormatError(f"{path}: line {lineno}: not UTF-8")
                 if not text or text[0] == "#":
                     continue
                 if not (text[0] == "-" and text[1:].isdigit() and text.isascii()):
@@ -219,7 +213,7 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
 def load_trace(path: str | PathLike) -> SampleTrace:
     """Read a sample file: values in [0, SAMPLE_MAX] as `load_values` reads them."""
     values = load_values(path, 0, SAMPLE_MAX)
-    return SampleTrace(np.array(values, dtype=np.int64), source_label=str(path))
+    return SampleTrace(np.array(values, dtype=np.int64))
 
 
 def save_trace(trace: SampleTrace, path: str | PathLike,

@@ -62,16 +62,16 @@ def test_criterion_2_fips_deterministic_fixtures():
 
     z = fips_suite(zeros)
     ok = not any(z.verdicts.values())
-    ok &= abs(z.x1 - 20000.0) < 1e-9
-    ok &= abs(z.x3 - 75000.0) < 1e-9
+    ok &= abs(z.monobit.x1 - 20000.0) < 1e-9
+    ok &= abs(z.poker.x3 - 75000.0) < 1e-9
 
     a = fips_suite(alt)
-    ok &= a.monobit_passed and a.long_runs_passed
-    ok &= not a.poker_passed and not a.runs_passed
-    ok &= abs(a.x3 - 75000.0) < 1e-9
-    ok &= a.x1 == 0.0 and a.longest_run == 1
+    ok &= a.monobit.passed and a.long_runs.passed
+    ok &= not a.poker.passed and not a.runs.passed
+    ok &= abs(a.poker.x3 - 75000.0) < 1e-9
+    ok &= a.monobit.x1 == 0.0 and a.long_runs.longest_run == 1
     report(2, "FIPS deterministic fixtures", ok,
-           f"zeros x3={z.x3}, alternating x3={a.x3}")
+           f"zeros x3={z.poker.x3}, alternating x3={a.poker.x3}")
 
 
 def test_criterion_3_fips_calibration():

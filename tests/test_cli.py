@@ -213,6 +213,10 @@ class TestExtract:
         assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 2
         assert stderr_of(capsys) == f"error: {trace_file}: line 2: not UTF-8\n"
+        trace_file.write_bytes(b"abc\n\xff\n")          # the first bad line counts
+        assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
+                   "--out", str(tmp_path / "b.txt")) == 2
+        assert stderr_of(capsys) == f"error: {trace_file}: line 1: not an integer: 'abc'\n"
         nope = tmp_path / "nope.txt"
         assert run("extract", "--in", str(nope), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 2
@@ -242,6 +246,9 @@ class TestFipstest:
         bit_file.write_bytes(b"01\r\n01\r\n0\xc3\n")
         assert run("fipstest", "--in", str(bit_file)) == 2
         assert stderr_of(capsys) == f"error: {bit_file}: line 3: not UTF-8\n"
+        bit_file.write_bytes(b"01\n0120\n\xff\n")
+        assert run("fipstest", "--in", str(bit_file)) == 2
+        assert stderr_of(capsys) == f"error: {bit_file}: line 2: invalid character '2'\n"
 
     def test_reference_bits_pass(self, tmp_path, capsys):
         bit_file = tmp_path / "b.txt"

@@ -159,6 +159,10 @@ class TestVerifySeed:
     def test_unrelated_seed_none(self):
         s = stream(42, 20)
         assert verify_seed(43, s, 5) is None
+        # Every window recurs in every stream; seed 43's holds this one
+        # 504370384 outputs in. Neither answer scans the offsets before it.
+        assert verify_seed(43, s, 10**8) is None
+        assert verify_seed(43, s, 10**9) == 504370384
 
     def test_smallest_offset_returned(self):
         s = stream(99, 130)[30:]

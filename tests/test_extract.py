@@ -1,4 +1,5 @@
 import random as pyrandom
+from collections import deque
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ def naive_von_neumann(bits):
         elif (a, b) == (0, 1):
             out.append(0)
     return out
+
+
+def raw_mean_loop(trace: SampleTrace, k: int) -> np.ndarray:
+    # the window-mean extractor as a loop over a deque: the oracle for raw_mean
+    n = len(trace)
+    vals = trace.values.tolist()
+    window = deque(vals[:k])
+    total = sum(window)
+    out = []
+    i = k
+    while i + 1 < n:
+        total += vals[i] - window.popleft()
+        window.append(vals[i])
+        m = -(-total // k)          # ceil(total / k), total >= 0
+        out.append(1 if vals[i + 1] > m else 0)
+        i += 2
+    return np.array(out, dtype=np.uint8)
 
 
 class TestVonNeumann:
@@ -118,6 +136,16 @@ class TestRawExtractors:
             k = rng.randrange(1, n - 1)
             t = SampleTrace(np.array([rng.randrange(1024) for _ in range(n)]))
             assert raw_mean(t, k).size == (n - k) // 2
+
+    def test_mean_matches_loop_oracle(self):
+        # Extreme values make the largest window sums; a narrow band puts
+        # many samples on or next to the ceiling of the mean.
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 3, 7, 64):
+            for n in range(k + 2, k + 301):
+                for t in (SampleTrace(rng.choice([0, 1023], n)),
+                          SampleTrace(rng.integers(500, 504, n))):
+                    assert np.array_equal(raw_mean(t, k), raw_mean_loop(t, k))
 
     def test_mean_needs_k_plus_two(self):
         with pytest.raises(InsufficientSamplesError):
