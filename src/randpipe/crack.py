@@ -214,7 +214,7 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
     x = g % MODULUS or 1
-    c = (_dlog(vals[0]) - _dlog(x) - 1) % GROUP_ORDER
+    c = (_dlog(vals[0] * pow(x, -1, MODULUS) % MODULUS) - 1) % GROUP_ORDER
     if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
         return c
     return None
