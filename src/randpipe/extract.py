@@ -43,11 +43,9 @@ class BitFormatError(ValueError):
 def as_bit_array(bits: Sequence[int] | np.ndarray) -> np.ndarray:
     """Coerce to a uint8 array of 0/1 values, rejecting anything else."""
     arr = np.asarray(bits)
-    if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-        arr = np.asarray(bits, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bit sequence may contain only 0 and 1")
     return arr.astype(np.uint8)
 
@@ -151,25 +149,23 @@ def yield_ratio(trace: SampleTrace, cfg: ExtractorConfig) -> float:
 
 def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
     """Write a bit file: ASCII '0'/'1', 80 bits per line."""
-    arr = as_bit_array(bits)
-    text = "".join("1" if b else "0" for b in arr)
+    text = (as_bit_array(bits) + ord("0")).tobytes().decode("ascii")
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(0, len(text), BITS_PER_LINE):
-            fh.write(text[i : i + BITS_PER_LINE])
-            fh.write("\n")
+        fh.writelines(text[i : i + BITS_PER_LINE] + "\n"
+                      for i in range(0, len(text), BITS_PER_LINE))
 
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    out = []
     with _open_text(path, BitFormatError) as fh:
-        for lineno, line in enumerate(fh, 1):
-            for ch in line:
-                if ch == "0":
-                    out.append(0)
-                elif ch == "1":
-                    out.append(1)
-                elif not ch.isspace():
-                    what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
-                    raise BitFormatError(f"{path}: line {lineno}: {what}")
-    return np.array(out, dtype=np.uint8)
+        text = fh.read()
+    digits = "".join(text.split())     # split() drops exactly what isspace() accepts
+    rest = digits.lstrip("01")
+    if rest:
+        ch = rest[0]
+        # Only bits and whitespace precede ch's first occurrence; text mode
+        # has turned every line end into '\n'.
+        lineno = text.count("\n", 0, text.index(ch)) + 1
+        what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
+        raise BitFormatError(f"{path}: line {lineno}: {what}")
+    return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from randpipe.extract import (
+    BitFormatError,
     ExtractorConfig,
     InsufficientSamplesError,
     extract,
@@ -17,7 +18,7 @@ from randpipe.extract import (
     write_bits,
     yield_ratio,
 )
-from randpipe.samples import SampleTrace
+from randpipe.samples import SampleTrace, _open_text, _undecodable
 
 
 def trace(*vals):
@@ -53,6 +54,22 @@ def raw_mean_loop(trace: SampleTrace, k: int) -> np.ndarray:
     return np.array(out, dtype=np.uint8)
 
 
+def read_bits_loop(path) -> np.ndarray:
+    # the bit-file reader as a loop over lines and characters: the oracle for read_bits
+    out = []
+    with _open_text(path, BitFormatError) as fh:
+        for lineno, line in enumerate(fh, 1):
+            for ch in line:
+                if ch == "0":
+                    out.append(0)
+                elif ch == "1":
+                    out.append(1)
+                elif not ch.isspace():
+                    what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
+                    raise BitFormatError(f"{path}: line {lineno}: {what}")
+    return np.array(out, dtype=np.uint8)
+
+
 class TestVonNeumann:
     def test_basic_pairs(self):
         assert von_neumann([1, 0, 0, 1]).tolist() == [1, 0]
@@ -67,8 +84,9 @@ class TestVonNeumann:
         assert von_neumann([]).tolist() == []
 
     def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            von_neumann([0, 2])
+        for bits in ([0, 2], [0.9, 1.7], [0.5], ["0", "1"]):
+            with pytest.raises(ValueError):
+                von_neumann(bits)
 
     def test_matches_naive_pairing(self):
         rng = pyrandom.Random(7)
@@ -231,13 +249,46 @@ class TestYieldRatio:
             yield_ratio(t, ExtractorConfig("leastsign"))
 
 
+# Pieces of adversarial bit files: the two bits, 13 kinds of ASCII and Unicode
+# whitespace, then 8 bad pieces: a BOM, bytes that are not UTF-8 (a truncated
+# sequence among them) and characters that are not bits.
+BIT_FILE_PIECES = [
+    b"0", b"1",
+    b" ", b"\n", b"\r", b"\r\n", b"\t", b"\v", b"\f", b"\x1c", b"\x1d",
+    "\u0085".encode(), "\u00a0".encode(), "\u2028".encode(), "\u3000".encode(),
+    "\ufeff".encode(), b"\xff", b"\x85", b"\xc3", b"2", b"#", "\u0661".encode(), b"\x00",
+]
+
+
 class TestBitFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
-        bits = rng.integers(0, 2, 1000).astype(np.uint8)
         p = tmp_path / "bits.txt"
-        write_bits(bits, p)
-        assert np.array_equal(read_bits(p), bits)
+        for n in (0, 1, 79, 80, 81, 1000):
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            write_bits(bits, p)
+            assert np.array_equal(read_bits(p), bits)
+            lines = p.read_bytes().splitlines(keepends=True)
+            assert [len(ln) for ln in lines] == [81] * (n // 80) + [n % 80 + 1] * (n % 80 > 0)
+
+    def test_matches_loop_oracle_on_adversarial_files(self, tmp_path):
+        def outcome(reader, path):
+            try:
+                return reader(path).tolist()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        rng = pyrandom.Random(31)
+        p = tmp_path / "bits.txt"
+        files = [b"", b"0101", b"01\n10"]
+        for _ in range(2500):
+            # files without bad pieces, with a rare one, or with many
+            weights = [40, 40] + [3] * 13 + [rng.choice((0, 0.1, 1))] * 8
+            files.append(b"".join(rng.choices(BIT_FILE_PIECES, weights,
+                                              k=rng.randrange(1, 200))))
+        for data in files:
+            p.write_bytes(data)
+            assert outcome(read_bits, p) == outcome(read_bits_loop, p), data
 
     def test_eighty_bits_per_line(self, tmp_path):
         p = tmp_path / "bits.txt"
