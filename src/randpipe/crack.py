@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .avrprng import MODULUS, MULTIPLIER, stream
+from .avrprng import MODULUS, MULTIPLIER, srandom, stream
 from .samples import SampleTrace
 
 SEED_SPACE = 1024
@@ -213,7 +213,7 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     if max_offset < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
-    x = g % MODULUS or 1
+    x = srandom(g).x
     c = (_dlog(vals[0] * pow(x, -1, MODULUS) % MODULUS) - 1) % GROUP_ORDER
     if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
         return c

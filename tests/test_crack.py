@@ -182,6 +182,11 @@ class TestVerifySeed:
         with pytest.raises(ValueError):
             verify_seed(1, [16807], -1)
 
+    def test_rejects_negative_seed(self):
+        # -5 and 2^31 - 6 are congruent mod 2^31 - 1; srandom refuses the former
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            verify_seed(-5, stream(2**31 - 6, 5), 0)
+
 
 class TestAudit:
     def test_finds_planted_windows(self):
