@@ -1,17 +1,12 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints one `[ACCEPTANCE] criterion N (...): PASS|FAIL` line
-(visible with `pytest -s` or on failure). Expensive fixtures are shared;
-the stream audit of criterion 7 caches its result under
-tests/_artifacts/ so it runs the full scan only once per environment.
+(visible with `pytest -s` or on failure). Expensive fixtures are shared.
 """
 
 import functools
-import hashlib
-import json
 import random as pyrandom
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +26,6 @@ from randpipe.fips import fips_suite, ints_to_bits, long_runs, monobit, poker, r
 from randpipe.samples import SynthModel, save_trace, synth_trace
 
 from test_fips import crypto_bits, naive_scan, naive_x3, naive_x4
-
-ARTIFACTS = Path(__file__).parent / "_artifacts"
-
 
 def report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -188,11 +180,6 @@ def test_criterion_6_seed_recovery():
            f"find_seed_opt {ver_o}/100 verified ({mean_o:.2f}s/trial)")
 
 
-def _fixture_digest(fixtures, horizon):
-    payload = repr((fixtures, horizon)).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
 def test_criterion_7_stream_collision_audit():
     """Exhaustive check: the 3-value prefixes of criterion 6's target
     windows must occur nowhere among the first 10^6 outputs of the 1024
@@ -205,31 +192,13 @@ def test_criterion_7_stream_collision_audit():
     horizon = 10**6
     fixtures, _ = recovery_fixtures()
     targets = [s[:3] for _, _, s in fixtures]
-    digest = _fixture_digest(targets, horizon)
+    t0 = time.perf_counter()
+    occurrences = audit_candidate_streams(targets, horizon=horizon)
+    elapsed = time.perf_counter() - t0
 
-    ARTIFACTS.mkdir(exist_ok=True)
-    cache_file = ARTIFACTS / "collision_audit.json"
-    cached = None
-    if cache_file.exists():
-        data = json.loads(cache_file.read_text())
-        if data.get("digest") == digest:
-            cached = data
-    if cached is None:
-        t0 = time.perf_counter()
-        occurrences = audit_candidate_streams(targets, horizon=horizon)
-        elapsed = time.perf_counter() - t0
-        cached = {
-            "digest": digest,
-            "horizon": horizon,
-            "elapsed_s": elapsed,
-            "occurrences": [[list(o) for o in occ] for occ in occurrences],
-        }
-        cache_file.write_text(json.dumps(cached, indent=1))
-
-    elapsed = cached["elapsed_s"]
     collisions = []
     for i, (g, d, _) in enumerate(fixtures):
-        for seed, off in cached["occurrences"][i]:
+        for seed, off in occurrences[i]:
             if (seed, off) != (g, d):
                 collisions.append((i, seed, off))
 
@@ -250,19 +219,6 @@ def test_criterion_7_stream_collision_audit():
                    "zero duplicates within this horizon is unattainable.")
     report(7, "stream collision audit",
            len(collisions) == 0 and elapsed < 300.0, detail)
-
-
-def test_collision_audit_artifact_matches_audit():
-    """The cached occurrences criterion 7 reads equal, per target, what
-    audit_candidate_streams computes for its targets at horizon 10^6."""
-    horizon = 10**6
-    fixtures, _ = recovery_fixtures()
-    targets = [s[:3] for _, _, s in fixtures]
-    data = json.loads((ARTIFACTS / "collision_audit.json").read_text())
-    assert data["digest"] == _fixture_digest(targets, horizon)
-    found = audit_candidate_streams(targets, horizon=horizon)
-    assert [set(f) for f in found] == \
-        [{tuple(o) for o in occ} for occ in data["occurrences"]]
 
 
 def test_criterion_8_analogread_rejection_pipeline(tmp_path):
