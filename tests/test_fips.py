@@ -20,6 +20,7 @@ from randpipe.fips import (
 from randpipe.samples import SampleTrace
 
 N = 20000
+GOLDEN_DIGEST = "3cf046da3d8fcae2a570bbfecb38afd9f2f8b861d6b96105151637eb3b5cef61"
 
 ALL_ZEROS = np.zeros(N, dtype=np.uint8)
 ALTERNATING = np.tile([0, 1], N // 2).astype(np.uint8)
@@ -285,6 +286,53 @@ class TestSuite:
         assert isinstance(r, TestReport)
         assert r._fields == ("monobit", "poker", "runs", "long_runs")
         assert sum(r.poker.counts) == 5000
+
+
+def seeded_blocks():
+    """30 seeded blocks, 10 at each one-probability p."""
+    rng = np.random.default_rng(71)
+    return [(rng.random(N) < p).astype(np.uint8)
+            for p in (0.5, 0.49, 0.3) for _ in range(10)]
+
+
+def adversarial_blocks():
+    """Blocks whose runs sit on the FIPS edges, on a seeded background."""
+    rng = np.random.default_rng(73)
+    out = [np.zeros(N, np.uint8), np.ones(N, np.uint8)]
+    for sym in (0, 1):
+        # a longest run of exactly 34, then of exactly 35, in the middle
+        for length in (34, 35):
+            bits = rng.integers(0, 2, N).astype(np.uint8)
+            bits[999] = bits[1000 + length] = 1 - sym
+            bits[1000:1000 + length] = sym
+            out.append(bits)
+        # runs of 6 and 7 at the first and at the last bit
+        for head, tail in ((6, 7), (7, 6)):
+            bits = rng.integers(0, 2, N).astype(np.uint8)
+            bits[:head] = sym
+            bits[head] = 1 - sym
+            bits[N - tail:] = 1 - sym
+            bits[N - tail - 1] = sym
+            out.append(bits)
+    return out
+
+
+class TestSuiteOracle:
+    def test_report_text_golden(self):
+        text = "\n".join(format_report(fips_suite(b)) for b in seeded_blocks())
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+    def test_adversarial_blocks_match_naive(self):
+        for bits in adversarial_blocks():
+            n1, pcounts, blocks, gaps, longest, _ = naive_scan(bits)
+            r = fips_suite(bits)
+            assert r.monobit.n1 == n1
+            assert r.poker.counts == tuple(pcounts)
+            assert r.runs.block_counts == tuple(blocks)
+            assert r.runs.gap_counts == tuple(gaps)
+            assert r.long_runs.longest_run == longest
+            assert r.poker.x3 == pytest.approx(naive_x3(pcounts), abs=1e-9)
+            assert r.runs.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
 
 
 class TestIntsToBits:
