@@ -74,11 +74,13 @@ class LongRunsResult(NamedTuple):
     passed: bool
 
 
-def _require_length(bits: np.ndarray) -> None:
+def _block(s: Sequence[int] | np.ndarray) -> np.ndarray:
+    bits = as_bit_array(s)
     if bits.size != REQUIRED_LENGTH:
         raise ValueError(
             f"sequence has {bits.size} bits; FIPS tests require {REQUIRED_LENGTH}"
         )
+    return bits
 
 
 def run_lengths(bits: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,10 +92,8 @@ def run_lengths(bits: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarra
     arr = as_bit_array(bits)
     if arr.size == 0:
         return np.array([], dtype=np.int64), np.array([], dtype=np.uint8)
-    change = np.flatnonzero(np.diff(arr))
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [arr.size - 1]))
-    return (ends - starts + 1).astype(np.int64), arr[starts]
+    bounds = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1, [arr.size]))
+    return np.diff(bounds), arr[bounds[:-1]]
 
 
 def expected_run_count(n: int, i: int) -> float:
@@ -103,8 +103,7 @@ def expected_run_count(n: int, i: int) -> float:
 
 def monobit(s: Sequence[int] | np.ndarray) -> MonobitResult:
     """Count of ones; passes iff 9654 < n1 < 10346."""
-    bits = as_bit_array(s)
-    _require_length(bits)
+    bits = _block(s)
     n1 = int(bits.sum())
     n0 = REQUIRED_LENGTH - n1
     x1 = (n0 - n1) ** 2 / REQUIRED_LENGTH
@@ -117,8 +116,7 @@ def poker(s: Sequence[int] | np.ndarray) -> PokerResult:
     The sequence is cut into k = 5000 disjoint 4-bit hands, each read
     MSB-first as an integer in [0, 16). x3 = (16 / k) * sum(n_i^2) - k.
     """
-    bits = as_bit_array(s)
-    _require_length(bits)
+    bits = _block(s)
     k = REQUIRED_LENGTH // POKER_M
     weights = 1 << np.arange(POKER_M - 1, -1, -1)
     vals = bits.reshape(k, POKER_M).astype(np.int64) @ weights
@@ -134,34 +132,29 @@ def runs(s: Sequence[int] | np.ndarray) -> RunsResult:
     x4 is the chi-square sum over the truncated counts against
     expected_run_count and is reported for information only.
     """
-    bits = as_bit_array(s)
-    _require_length(bits)
-    lengths, symbols = run_lengths(bits)
+    return _runs(*run_lengths(_block(s)))
+
+
+def _runs(lengths: np.ndarray, symbols: np.ndarray) -> RunsResult:
     trunc = np.minimum(lengths, 6)
-    blocks = np.bincount(trunc[symbols == 1], minlength=7)[1:7]
-    gaps = np.bincount(trunc[symbols == 0], minlength=7)[1:7]
-    passed = all(
-        RUN_INTERVALS[i][0] <= blocks[i - 1] <= RUN_INTERVALS[i][1]
-        and RUN_INTERVALS[i][0] <= gaps[i - 1] <= RUN_INTERVALS[i][1]
-        for i in range(1, 7)
-    )
+    blocks = np.bincount(trunc[symbols == 1], minlength=7)[1:7].tolist()
+    gaps = np.bincount(trunc[symbols == 0], minlength=7)[1:7].tolist()
+    passed = all(lo <= b <= hi and lo <= g <= hi
+                 for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
     x4 = 0.0
     for i in range(1, 7):
         e = expected_run_count(REQUIRED_LENGTH, i)
         x4 += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
-    return RunsResult(
-        block_counts=tuple(int(b) for b in blocks),
-        gap_counts=tuple(int(g) for g in gaps),
-        x4=float(x4),
-        passed=bool(passed),
-    )
+    return RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
+                      x4=x4, passed=passed)
 
 
 def long_runs(s: Sequence[int] | np.ndarray) -> LongRunsResult:
     """Passes iff no run of either symbol exceeds 34 bits."""
-    bits = as_bit_array(s)
-    _require_length(bits)
-    lengths, _ = run_lengths(bits)
+    return _long_runs(run_lengths(_block(s))[0])
+
+
+def _long_runs(lengths: np.ndarray) -> LongRunsResult:
     longest = int(lengths.max())
     return LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT)
 
@@ -187,8 +180,10 @@ class TestReport(NamedTuple):
 
 def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     """Run all four tests; overall passes only if every test passes."""
-    bits = as_bit_array(s)
-    return TestReport(monobit(bits), poker(bits), runs(bits), long_runs(bits))
+    bits = _block(s)
+    lengths, symbols = run_lengths(bits)
+    return TestReport(monobit(bits), poker(bits), _runs(lengths, symbols),
+                      _long_runs(lengths))
 
 
 def _verdict(passed: bool) -> str:
@@ -225,5 +220,6 @@ def format_report(report: TestReport) -> str:
 
 def ints_to_bits(trace: SampleTrace) -> np.ndarray:
     """Expand each 10-bit sample into 10 bits, MSB first."""
-    shifts = np.arange(9, -1, -1)
-    return ((trace.values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    # Each sample is read as 16 big-endian bits; the last 10 are its bits.
+    be16 = trace.values.astype(">u2").view(np.uint8)
+    return np.unpackbits(be16).reshape(-1, 16)[:, 6:].ravel()

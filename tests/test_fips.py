@@ -350,8 +350,12 @@ class TestIntsToBits:
 
     def test_round_trip(self):
         rng = np.random.default_rng(67)
-        vals = rng.integers(0, 1024, 300)
-        bits = ints_to_bits(SampleTrace(vals))
-        assert bits.size == 10 * vals.size
-        back = bits.reshape(-1, 10) @ (1 << np.arange(9, -1, -1))
-        assert np.array_equal(back, vals)
+        for vals in (rng.integers(0, 1024, 300), np.arange(1024)):
+            bits = ints_to_bits(SampleTrace(vals))
+            assert bits.dtype == np.uint8 and bits.size == 10 * vals.size
+            back = bits.reshape(-1, 10) @ (1 << np.arange(9, -1, -1))
+            assert np.array_equal(back, vals)
+            oracle = "".join(format(v, "010b") for v in vals.tolist())
+            assert "".join(map(str, bits.tolist())) == oracle
+        empty = ints_to_bits(SampleTrace([]))
+        assert empty.shape == (0,) and empty.dtype == np.uint8
