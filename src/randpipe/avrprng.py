@@ -12,6 +12,7 @@ from a valid state.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 MODULUS = 2**31 - 1        # 2147483647, prime
@@ -25,8 +26,10 @@ class LcgState:
     x: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.x <= MODULUS - 1:
-            raise ValueError(f"LCG state {self.x} outside [1, {MODULUS - 1}]")
+        x = operator.index(self.x)
+        if not 1 <= x <= MODULUS - 1:
+            raise ValueError(f"LCG state {x} outside [1, {MODULUS - 1}]")
+        object.__setattr__(self, "x", x)
 
 
 def srandom(seed: int) -> LcgState:

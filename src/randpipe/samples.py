@@ -34,7 +34,10 @@ class SampleTrace:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.int64)
+        arr = np.asarray(self.values)
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"trace values must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 1:
             raise ValueError("trace values must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() > SAMPLE_MAX):

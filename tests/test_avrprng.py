@@ -1,5 +1,6 @@
 import random as pyrandom
 
+import numpy as np
 import pytest
 
 from randpipe.avrprng import MODULUS, MULTIPLIER, LcgState, random, srandom, stream
@@ -55,6 +56,16 @@ def test_state_bounds_enforced():
         LcgState(0)
     with pytest.raises(ValueError):
         LcgState(2**31 - 1)
+
+
+def test_non_integer_state_rejected():
+    with pytest.raises(TypeError):
+        LcgState(1.5)
+    with pytest.raises(TypeError):
+        srandom(1.5)
+    with pytest.raises(TypeError):
+        stream(2.0, 1)
+    assert stream(np.int64(5), 2) == stream(5, 2)
 
 
 def test_stream_empty():

@@ -24,11 +24,14 @@ class TestSampleTrace:
     def test_valid_range(self):
         t = SampleTrace(np.array([0, 1023, 512]))
         assert len(t) == 3
+        t = SampleTrace([])
+        assert len(t) == 0 and t.values.dtype == np.int64
 
-    @pytest.mark.parametrize("bad", [-1, 1024, 5000])
+    @pytest.mark.parametrize("bad", [-1, 1024, 5000, 1.7, "5", True])
     def test_out_of_range_rejected(self, bad):
+        # non-integers are rejected before a cast could turn them into samples
         with pytest.raises(ValueError):
-            SampleTrace(np.array([512, bad]))
+            SampleTrace([bad])
 
     def test_values_immutable(self):
         t = SampleTrace(np.array([1, 2, 3]))
