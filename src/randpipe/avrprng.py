@@ -26,10 +26,9 @@ class LcgState:
     x: int
 
     def __post_init__(self) -> None:
-        x = operator.index(self.x)
-        if not 1 <= x <= MODULUS - 1:
-            raise ValueError(f"LCG state {x} outside [1, {MODULUS - 1}]")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", operator.index(self.x))
+        if not 1 <= self.x <= MODULUS - 1:
+            raise ValueError(f"LCG state {self.x} outside [1, {MODULUS - 1}]")
 
 
 def srandom(seed: int) -> LcgState:
