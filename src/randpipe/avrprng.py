@@ -40,6 +40,7 @@ def srandom(seed: int) -> LcgState:
     be 0. The same mapping is applied on the attack side, so searches
     stay consistent with generation.
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     x = seed % MODULUS

@@ -65,6 +65,8 @@ def test_non_integer_state_rejected():
         srandom(1.5)
     with pytest.raises(TypeError):
         stream(2.0, 1)
+    with pytest.raises(TypeError):
+        stream(0.0, 1)      # a zero residue must not map to the seed-1 stream
     assert stream(np.int64(5), 2) == stream(5, 2)
 
 
