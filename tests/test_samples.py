@@ -27,11 +27,15 @@ class TestSampleTrace:
         t = SampleTrace([])
         assert len(t) == 0 and t.values.dtype == np.int64
 
-    @pytest.mark.parametrize("bad", [-1, 1024, 5000, 1.7, "5", True])
-    def test_out_of_range_rejected(self, bad):
+    # [True] stands alone: [512, True] would be an integer array
+    @pytest.mark.parametrize(
+        "values", [[512, -1], [512, 1024], [512, 5000], [1.7], ["5"], [True]],
+        ids=["-1", "1024", "5000", "1.7", "5", "True"],
+    )
+    def test_out_of_range_rejected(self, values):
         # non-integers are rejected before a cast could turn them into samples
         with pytest.raises(ValueError):
-            SampleTrace([bad])
+            SampleTrace(np.array(values))
 
     def test_values_immutable(self):
         t = SampleTrace(np.array([1, 2, 3]))
