@@ -145,7 +145,8 @@ def _runs(lengths: np.ndarray, symbols: np.ndarray) -> RunsResult:
     for i in range(1, 7):
         e = expected_run_count(REQUIRED_LENGTH, i)
         x4 += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
-    return RunsResult(tuple(blocks), tuple(gaps), x4, passed)
+    return RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
+                      x4=x4, passed=passed)
 
 
 def long_runs(s: Sequence[int] | np.ndarray) -> LongRunsResult:
@@ -202,8 +203,10 @@ def format_report(report: TestReport) -> str:
         f"poker_df: {POKER_DF}",
         f"poker: {_verdict(pok.passed)}",
     ]
-    lines += [f"block_{i}: {c}" for i, c in enumerate(run.block_counts, 1)]
-    lines += [f"gap_{i}: {c}" for i, c in enumerate(run.gap_counts, 1)]
+    for i in range(1, 7):
+        lines.append(f"block_{i}: {run.block_counts[i - 1]}")
+    for i in range(1, 7):
+        lines.append(f"gap_{i}: {run.gap_counts[i - 1]}")
     lines += [
         f"x4: {run.x4:.4f}",
         f"runs_df: {RUNS_DF}",
