@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,11 +9,11 @@ import numpy as np
 import pytest
 
 from randpipe.avrprng import stream
-from randpipe.cli import main
+from randpipe.cli import build_parser, main
 from randpipe.crack import CrackConfig, build_prob_dist, find_seed
 from randpipe.extract import ExtractorConfig, extract, read_bits, write_bits
 from randpipe.fips import fips_suite, format_report
-from randpipe.samples import load_trace, trace_stats
+from randpipe.samples import SynthModel, load_trace, trace_stats
 
 from test_fips import crypto_bits
 
@@ -448,6 +450,95 @@ class TestStats:
                    "--hist-out", str(tmp_path / "h.csv")) == 2
         assert stderr_of(capsys) == "error: empty trace\n"
         assert not (tmp_path / "h.csv").exists()
+
+
+# Golden outputs of the README run, recorded before any refactor of the
+# subcommands, so that a change to how they print shows up byte for byte.
+README_HIST = ("value,count\n335,343\n336,320\n337,367\n338,332\n339,266\n"
+               "340,200\n341,172\n")
+
+
+@pytest.fixture(scope="module")
+def readme_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("readme")
+    assert run("simulate", "--model", "band", "--center", "338", "--halfwidth", "3",
+               "--n", "2000", "--seed", "7", "--out", str(d / "capture.txt")) == 0
+    assert run("simulate", "--model", "band", "--center", "512", "--halfwidth", "40",
+               "--stickiness", "0.7", "--noise-width", "2", "--n", "20000",
+               "--seed", "1", "--out", str(d / "wide.txt")) == 0
+    write_lines(d / "observed.txt", stream(338, 140)[40:])
+    return d
+
+
+def captured(capsys, rc):
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+class TestGoldenOutput:
+    def test_stats(self, readme_files, capsys, tmp_path):
+        hist = tmp_path / "h.csv"
+        rc = run("stats", "--in", str(readme_files / "capture.txt"),
+                 "--hist-out", str(hist))
+        assert captured(capsys, rc) == (
+            0, "samples: 2000\ndistinct: 7\nmin: 335\nmax: 341\n", "")
+        assert hist.read_text() == README_HIST
+
+    @pytest.mark.parametrize("flags,stdout,digest", [
+        (["--algo", "mean"], "842\nyield-ratio: 0.042100\n",
+         "4beb9e7ef41dd2848aa46ab496dba14bc4432dbe850c77b6f6ed08e2c81231d7"),
+        (["--algo", "updown"], "89\nyield-ratio: 0.004450\n",
+         "a55fc8597aa4492cac666df6323afcad797d97b69ac6d6e4f26c01cb07c1a3be"),
+        (["--algo", "mixmeanupdown"], "19\nyield-ratio: 0.000950\n",
+         "3b62ed86567c870a5b7a76c96bff51f3fd23504749defa97f5021075e24701bf"),
+        (["--algo", "leastsign"], "5006\nyield-ratio: 0.250300\n",
+         "135db002381acc8c9f8b525400a54c199ba77cef0a99bc61bbef2131dcca0662"),
+        (["--algo", "twoleastsign"], "4971\nyield-ratio: 0.248550\n",
+         "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
+        (["--algo", "twoleastsign", "--rate", "10000"],
+         "4971\nyield-ratio: 0.248550\nestimated-bps: 2485.50\n",
+         "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
+        (["--algo", "mean", "--no-vn"], "9968\nyield-ratio: 0.498400\n",
+         "58c90478fe1b083db9ff8d72658461a0ba8059fd9be71c88f941ff2a8fe71227"),
+    ], ids=["mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign",
+            "rate", "no-vn"])
+    def test_extract(self, readme_files, capsys, tmp_path, flags, stdout, digest):
+        bits = tmp_path / "b.txt"
+        rc = run("extract", "--in", str(readme_files / "wide.txt"), *flags,
+                 "--out", str(bits))
+        assert captured(capsys, rc) == (
+            0, "samples-in: 20000\nbits-out: " + stdout, "")
+        assert hashlib.sha256(bits.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], (0, "stats: total-steps=102840\nseed=338 offset=40\n", "")),
+        (["--optimized"], (0, "stats: total-steps=104040\nseed=338 offset=40\n", "")),
+        (["--max-steps", "50000"], (1, "stats: total-steps=102400\n",
+                                    "error: seed not found within 50000 steps\n")),
+    ], ids=["plain", "optimized", "exhausted"])
+    def test_crack_stats(self, readme_files, capsys, flags, expected):
+        rc = run("crack", "--sequence", str(readme_files / "observed.txt"),
+                 "--samples", str(readme_files / "capture.txt"), "--stats", *flags)
+        assert captured(capsys, rc) == expected
+
+
+def test_cli_defaults_match_library_defaults():
+    # The CLI restates these defaults; the two must not drift apart.
+    def defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    parse = build_parser().parse_args
+    sim = vars(parse(["simulate", "--model", "band", "--n", "1", "--out", "x"]))
+    model = defaults(SynthModel)
+    for name in ("center", "halfwidth", "stickiness", "transient_start", "decay",
+                 "amplitude", "period", "noise_width"):
+        assert sim[name] == model[name], name
+    assert sim["seed"] == model["rng_seed"]
+    ext = parse(["extract", "--in", "x", "--algo", "mean", "--out", "y"])
+    assert ext.k == defaults(ExtractorConfig)["window_k"]
+    crk = parse(["crack", "--sequence", "x", "--samples", "y"])
+    cfg = defaults(CrackConfig)
+    assert (crk.m, crk.t, crk.max_steps) == (cfg["m"], cfg["t"], cfg["max_total_steps"])
 
 
 @pytest.mark.parametrize("argv", [
