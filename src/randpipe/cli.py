@@ -53,8 +53,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         algorithm=args.algo, window_k=args.k, apply_vn=not args.no_vn
     )
     if len(trace) == 0:
-        _err(f"{args.infile}: no samples")
-        return 1
+        raise extract.InsufficientSamplesError(f"{args.infile}: no samples")
     bits = extract.extract(trace, cfg)
     extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
@@ -69,8 +68,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_fipstest(args: argparse.Namespace) -> int:
     bits = extract.read_bits(args.infile)
     if bits.size != fips.REQUIRED_LENGTH:
-        _err(f"{args.infile}: {bits.size} bits; need exactly {fips.REQUIRED_LENGTH}")
-        return 2
+        raise ValueError(
+            f"{args.infile}: {bits.size} bits; need exactly {fips.REQUIRED_LENGTH}")
     report = fips.fips_suite(bits)
     print(fips.format_report(report))
     return 0 if report.overall else 1
@@ -96,8 +95,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
     trace = samples.load_trace(args.samples)
     cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
     if not seq:
-        _err(f"{args.sequence}: no observed values")
-        return 2
+        raise ValueError(f"{args.sequence}: no observed values")
     dist = crack.build_prob_dist(trace)
     search = crack.find_seed_opt if args.optimized else crack.find_seed
     result = search(seq, cfg, dist)

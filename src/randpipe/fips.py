@@ -74,15 +74,6 @@ class LongRunsResult(NamedTuple):
     passed: bool
 
 
-def _block(s: Sequence[int] | np.ndarray) -> np.ndarray:
-    bits = as_bit_array(s)
-    if bits.size != REQUIRED_LENGTH:
-        raise ValueError(
-            f"sequence has {bits.size} bits; FIPS tests require {REQUIRED_LENGTH}"
-        )
-    return bits
-
-
 def run_lengths(bits: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate maximal runs of any bit sequence.
 
@@ -103,11 +94,7 @@ def expected_run_count(n: int, i: int) -> float:
 
 def monobit(s: Sequence[int] | np.ndarray) -> MonobitResult:
     """Count of ones; passes iff 9654 < n1 < 10346."""
-    bits = _block(s)
-    n1 = int(bits.sum())
-    n0 = REQUIRED_LENGTH - n1
-    x1 = (n0 - n1) ** 2 / REQUIRED_LENGTH
-    return MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH)
+    return fips_suite(s).monobit
 
 
 def poker(s: Sequence[int] | np.ndarray) -> PokerResult:
@@ -116,14 +103,7 @@ def poker(s: Sequence[int] | np.ndarray) -> PokerResult:
     The sequence is cut into k = 5000 disjoint 4-bit hands, each read
     MSB-first as an integer in [0, 16). x3 = (16 / k) * sum(n_i^2) - k.
     """
-    bits = _block(s)
-    k = REQUIRED_LENGTH // POKER_M
-    weights = 1 << np.arange(POKER_M - 1, -1, -1)
-    vals = bits.reshape(k, POKER_M).astype(np.int64) @ weights
-    counts = np.bincount(vals, minlength=2**POKER_M)
-    x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
-    return PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH,
-                       counts=tuple(int(c) for c in counts))
+    return fips_suite(s).poker
 
 
 def runs(s: Sequence[int] | np.ndarray) -> RunsResult:
@@ -132,31 +112,12 @@ def runs(s: Sequence[int] | np.ndarray) -> RunsResult:
     x4 is the chi-square sum over the truncated counts against
     expected_run_count and is reported for information only.
     """
-    return _runs(*run_lengths(_block(s)))
-
-
-def _runs(lengths: np.ndarray, symbols: np.ndarray) -> RunsResult:
-    trunc = np.minimum(lengths, 6)
-    blocks = np.bincount(trunc[symbols == 1], minlength=7)[1:7].tolist()
-    gaps = np.bincount(trunc[symbols == 0], minlength=7)[1:7].tolist()
-    passed = all(lo <= b <= hi and lo <= g <= hi
-                 for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
-    x4 = 0.0
-    for i in range(1, 7):
-        e = expected_run_count(REQUIRED_LENGTH, i)
-        x4 += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
-    return RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
-                      x4=x4, passed=passed)
+    return fips_suite(s).runs
 
 
 def long_runs(s: Sequence[int] | np.ndarray) -> LongRunsResult:
     """Passes iff no run of either symbol exceeds 34 bits."""
-    return _long_runs(run_lengths(_block(s))[0])
-
-
-def _long_runs(lengths: np.ndarray) -> LongRunsResult:
-    longest = int(lengths.max())
-    return LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT)
+    return fips_suite(s).long_runs
 
 
 class TestReport(NamedTuple):
@@ -180,10 +141,41 @@ class TestReport(NamedTuple):
 
 def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     """Run all four tests; overall passes only if every test passes."""
-    bits = _block(s)
+    bits = as_bit_array(s)
+    if bits.size != REQUIRED_LENGTH:
+        raise ValueError(
+            f"sequence has {bits.size} bits; FIPS tests require {REQUIRED_LENGTH}"
+        )
+    n1 = int(bits.sum())
+    n0 = REQUIRED_LENGTH - n1
+    x1 = (n0 - n1) ** 2 / REQUIRED_LENGTH
+
+    k = REQUIRED_LENGTH // POKER_M
+    weights = 1 << np.arange(POKER_M - 1, -1, -1)
+    vals = bits.reshape(k, POKER_M).astype(np.int64) @ weights
+    counts = np.bincount(vals, minlength=2**POKER_M)
+    x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
+
     lengths, symbols = run_lengths(bits)
-    return TestReport(monobit(bits), poker(bits), _runs(lengths, symbols),
-                      _long_runs(lengths))
+    trunc = np.minimum(lengths, 6)
+    blocks = np.bincount(trunc[symbols == 1], minlength=7)[1:7].tolist()
+    gaps = np.bincount(trunc[symbols == 0], minlength=7)[1:7].tolist()
+    runs_passed = all(lo <= b <= hi and lo <= g <= hi
+                      for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
+    x4 = 0.0
+    for i in range(1, 7):
+        e = expected_run_count(REQUIRED_LENGTH, i)
+        x4 += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
+    longest = int(lengths.max())
+
+    return TestReport(
+        MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH),
+        PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH,
+                    counts=tuple(int(c) for c in counts)),
+        RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
+                   x4=x4, passed=runs_passed),
+        LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT),
+    )
 
 
 def _verdict(passed: bool) -> str:
