@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random as _pyrandom
 from dataclasses import dataclass, field
-from math import pi, sin
+from math import isfinite, pi, sin
 from os import PathLike
 from typing import TextIO
 
@@ -37,7 +37,8 @@ class SampleTrace:
         arr = np.asarray(self.values)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"trace values must be integers, not {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
+        # The caller can still write to its own array, so freeze a copy of it.
+        arr = arr.astype(np.int64, copy=arr is self.values and arr.flags.writeable)
         if arr.ndim != 1:
             raise ValueError("trace values must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() > SAMPLE_MAX):
@@ -111,7 +112,9 @@ class SynthModel:
         if self.kind == "interference":
             if self.amplitude < 0:
                 raise ValueError("amplitude must be >= 0")
-            if self.period <= 0:
+            if not isfinite(self.amplitude):
+                raise ValueError("amplitude must be finite")
+            if not self.period > 0:
                 raise ValueError("period must be positive")
 
 
@@ -160,7 +163,9 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
             v = out[i] + round(model.amplitude * sin(2.0 * pi * i / model.period))
             out[i] = min(max(v, 0), SAMPLE_MAX)
 
-    return SampleTrace(np.array(out, dtype=np.int64))
+    arr = np.array(out, dtype=np.int64)
+    arr.flags.writeable = False          # nothing else holds it: no copy needed
+    return SampleTrace(arr)
 
 
 def _open_text(path: str | PathLike, error: type[ValueError]) -> TextIO:
@@ -204,7 +209,17 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
                     raise TraceFormatError(
                         f"{path}: line {lineno}: not an integer: {text!r}"
                     )
-            v = int(text)
+            try:
+                v = int(text)
+            except ValueError:
+                # Past int()'s digit limit; leading zeros do not count.
+                sign = "-" if text[0] == "-" else ""
+                digits = text.lstrip("-").lstrip("0")
+                if len(digits) > len(str(hi)):
+                    raise TraceFormatError(
+                        f"{path}: line {lineno}: value {sign}{digits} outside [{lo}, {hi}]"
+                    ) from None
+                v = int(sign + (digits or "0"))
             if not lo <= v <= hi:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: value {v} outside [{lo}, {hi}]"
@@ -215,8 +230,9 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
 
 def load_trace(path: str | PathLike) -> SampleTrace:
     """Read a sample file: values in [0, SAMPLE_MAX] as `load_values` reads them."""
-    values = load_values(path, 0, SAMPLE_MAX)
-    return SampleTrace(np.array(values, dtype=np.int64))
+    arr = np.array(load_values(path, 0, SAMPLE_MAX), dtype=np.int64)
+    arr.flags.writeable = False          # nothing else holds it: no copy needed
+    return SampleTrace(arr)
 
 
 def save_trace(trace: SampleTrace, path: str | PathLike,

@@ -369,6 +369,11 @@ class TestCrack:
                    "--samples", str(samples_file)) == 2
         assert stderr_of(capsys) == (
             f"error: {seq_file}: line 4: value 2147483647 outside [1, 2147483646]\n")
+        seq_file.write_text("16807\n" + "9" * 5000 + "\n")
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file)) == 2
+        assert stderr_of(capsys) == (
+            f"error: {seq_file}: line 2: value {'9' * 5000} outside [1, 2147483646]\n")
         for text in ("0x10", "+282475249", "282_475_249", "\u0661\u0662"):
             seq_file.write_text(f"16807\n{text}\n")
             assert run("crack", "--sequence", str(seq_file),

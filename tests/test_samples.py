@@ -42,6 +42,13 @@ class TestSampleTrace:
         with pytest.raises(ValueError):
             t.values[0] = 9
 
+    def test_caller_array_stays_writeable(self, tmp_path):
+        a = np.array([1, 2, 3])
+        t = SampleTrace(a)
+        a[0] = 5
+        assert t.values.tolist() == [1, 2, 3]
+        assert not load_trace(write(tmp_path, "1\n2\n")).values.flags.writeable
+
 
 class TestLoadTrace:
     def test_plain(self, tmp_path):
@@ -61,6 +68,12 @@ class TestLoadTrace:
             load_trace(write(tmp_path, "1024\n"))
         with pytest.raises(TraceFormatError, match=r"line 2: value -3 outside \[0, 1023\]"):
             load_trace(write(tmp_path, "5\n-3\n"))
+        # past int()'s 4300-digit limit; leading zeros do not count
+        for text, value in (("9" * 5000, "9" * 5000), ("-" + "9" * 5000, "-" + "9" * 5000),
+                            ("0" * 5000 + "1024", "1024"), ("-" + "0" * 5000 + "3", "-3")):
+            with pytest.raises(TraceFormatError) as exc:
+                load_trace(write(tmp_path, f"1\n{text}\n"))
+            assert str(exc.value).endswith(f"line 2: value {value} outside [0, 1023]")
 
     def test_non_integer_reports_line(self, tmp_path):
         with pytest.raises(TraceFormatError, match="line 3"):
@@ -71,6 +84,8 @@ class TestLoadTrace:
                 load_trace(write(tmp_path, f"1\n\n{text}\n"))
             assert str(exc.value).endswith(f"line 3: not an integer: {text!r}")
         assert load_trace(write(tmp_path, "007\n  12 \n")).values.tolist() == [7, 12]
+        assert load_trace(write(tmp_path, "0" * 5000 + "7\n-" + "0" * 5000 + "\n")
+                          ).values.tolist() == [7, 0]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError):
@@ -176,6 +191,9 @@ class TestSynthModels:
             dict(kind="interference", amplitude=-1.0),
             dict(kind="replay"),
             dict(kind="replay", replay_values=(1, 2000)),
+            dict(kind="interference", amplitude=float("nan")),
+            dict(kind="interference", amplitude=float("inf")),
+            dict(kind="interference", period=float("nan")),
         ],
     )
     def test_invalid_parameters(self, kwargs):
