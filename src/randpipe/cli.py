@@ -94,7 +94,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
     seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1)
     trace = samples.load_trace(args.samples)
     cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
-    if not seq:
+    if not seq.size:
         raise ValueError(f"{args.sequence}: no observed values")
     dist = crack.build_prob_dist(trace)
     search = crack.find_seed_opt if args.optimized else crack.find_seed

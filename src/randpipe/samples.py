@@ -10,6 +10,7 @@ interference) with no claim of physical fidelity.
 
 from __future__ import annotations
 
+import io
 import random as _pyrandom
 from dataclasses import dataclass, field
 from math import isfinite, pi, sin
@@ -27,6 +28,15 @@ class TraceFormatError(ValueError):
     """A sample file could not be parsed; message carries path and line."""
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether arr and every array whose memory it views are read-only."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 @dataclass(frozen=True)
 class SampleTrace:
     """An ordered sequence of 10-bit samples."""
@@ -37,8 +47,8 @@ class SampleTrace:
         arr = np.asarray(self.values)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"trace values must be integers, not {arr.dtype}")
-        # The caller can still write to its own array, so freeze a copy of it.
-        arr = arr.astype(np.int64, copy=arr is self.values and arr.flags.writeable)
+        # Freeze a copy of the caller's array unless nothing can write its memory.
+        arr = arr.astype(np.int64, copy=arr is self.values and not _frozen(arr))
         if arr.ndim != 1:
             raise ValueError("trace values must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() > SAMPLE_MAX):
@@ -181,22 +191,66 @@ def _open_text(path: str | PathLike, error: type[ValueError]) -> TextIO:
 
 
 def _undecodable(text: str) -> bool:
-    """Whether text, read through `_open_text`, holds bytes that are not UTF-8."""
+    """Whether text, decoded with surrogateescape, holds bytes that are not UTF-8."""
     return any("\udc80" <= ch <= "\udcff" for ch in text)
 
 
-def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
-    """Read a file of decimal integers in [lo, hi], one per line.
+def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
+    """The values of a file `load_values` calls plain, or None for any other file.
 
-    This is the format of sample files and of observed-sequence files.
-    Lines starting with '#' and blank lines are skipped. A value is an
-    optional '-' followed by ASCII digits; `int()` alone would also take
-    '+5', '1_0' and non-ASCII digits. Any other malformed or out-of-range
-    line is a hard error (silently clamping would corrupt the value
-    distribution the seed attack relies on).
+    No loop runs per line: lines are found from the newline positions, and
+    each value is Horner's rule over its digits, right-aligned to
+    len(str(hi)) places.
+    """
+    width = len(str(hi))
+    if not data.isascii() or b"\r" in data:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Per-line arrays are the big temporaries, so they are small and freed
+    # early: np.diff's copies would add 5 MB to a 10^6-line load's peak RSS.
+    index = np.int32 if buf.size < 2**31 else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(index)
+    if data and data[-1] != ord("\n"):
+        ends = np.append(ends, index(buf.size))
+    lengths = np.empty_like(ends)
+    lengths[:1] = ends[:1]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    keep = lengths > 0
+    keep &= buf[ends - lengths] != ord("#")
+    ends, lengths = ends[keep], lengths[keep]
+    if lengths.size and lengths.max() > width:
+        return None
+    lengths = lengths.astype(np.uint8)
+    acc = np.zeros(ends.size, np.min_scalar_type(10**width - 1))
+    for k in range(width, 0, -1):
+        # The k-th byte from each line's end (clamped at the file's start);
+        # 0 where the line is shorter.
+        at = ends - k
+        np.maximum(at, 0, out=at)
+        digits = buf[at]
+        del at
+        digits -= ord("0")
+        digits[lengths < k] = 0
+        if digits.size and digits.max() > 9:
+            return None
+        acc *= 10
+        acc += digits
+    del ends, lengths
+    if acc.size and (acc.min() < lo or acc.max() > hi):
+        return None
+    return acc.astype(np.int64)
+
+
+def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[int]:
+    """Parse a file line by line, as text mode reads it; report the first bad line.
+
+    This decides every file the plain path declines, and is the oracle
+    that path is tested against.
     """
     values = []
-    with _open_text(path, TraceFormatError) as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             # Plain digits first: the common line takes one test, not three.
@@ -228,11 +282,37 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> list[int]:
     return values
 
 
+def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
+    """Read a file of decimal integers in [lo, hi], one per line, as read-only int64.
+
+    This is the format of sample files and of observed-sequence files.
+    Lines starting with '#' and blank lines are skipped. A value is an
+    optional '-' followed by ASCII digits; `int()` alone would also take
+    '+5', '1_0' and non-ASCII digits. Any other malformed or out-of-range
+    line is a hard error (silently clamping would corrupt the value
+    distribution the seed attack relies on).
+
+    A plain file is converted in one numpy pass: it is ASCII without
+    '\\r', and each of its lines is blank, starts with '#', or is 1 to
+    len(str(hi)) ASCII digits with a value in [lo, hi]. `save_trace` writes
+    plain files when its header is ASCII. Every other file, valid or not,
+    goes to the line parser, which also names the first bad line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
+    values = _plain_values(data, lo, hi)
+    if values is None:
+        values = np.array(_parse_lines(path, data, lo, hi), dtype=np.int64)
+    values.flags.writeable = False       # nothing else holds it: no copy needed
+    return values
+
+
 def load_trace(path: str | PathLike) -> SampleTrace:
     """Read a sample file: values in [0, SAMPLE_MAX] as `load_values` reads them."""
-    arr = np.array(load_values(path, 0, SAMPLE_MAX), dtype=np.int64)
-    arr.flags.writeable = False          # nothing else holds it: no copy needed
-    return SampleTrace(arr)
+    return SampleTrace(load_values(path, 0, SAMPLE_MAX))
 
 
 def save_trace(trace: SampleTrace, path: str | PathLike,

@@ -1,13 +1,20 @@
+import io
 import random as pyrandom
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from randpipe import samples
 from randpipe.samples import (
     SampleTrace,
     SynthModel,
     TraceFormatError,
+    _open_text,
+    _parse_lines,
+    _plain_values,
     load_trace,
+    load_values,
     save_trace,
     synth_trace,
     trace_stats,
@@ -48,6 +55,19 @@ class TestSampleTrace:
         a[0] = 5
         assert t.values.tolist() == [1, 2, 3]
         assert not load_trace(write(tmp_path, "1\n2\n")).values.flags.writeable
+
+    def test_view_of_writeable_array_is_copied(self, tmp_path):
+        a = np.array([1, 2, 3])
+        v = a.view()
+        v.flags.writeable = False
+        t = SampleTrace(v)
+        a[0] = 99
+        assert t.values.tolist() == [1, 2, 3]
+        # a loaded array, and views of a frozen trace, are adopted as they are
+        loaded = load_values(write(tmp_path, "1\n2\n3\n"), 0, 1023)
+        t = SampleTrace(loaded)
+        assert t.values is loaded
+        assert SampleTrace(t.values[0::2]).values.base is loaded
 
 
 class TestLoadTrace:
@@ -90,6 +110,106 @@ class TestLoadTrace:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError):
             load_trace(tmp_path / "nope.txt")
+
+
+def write_capture(path, values, every, final_newline=True):
+    """A sample file in the benchmark's layout: a '#' header, then a blank
+    line and a '# sample i' comment before every `every`-th value."""
+    text = "# capture\n" + "".join(
+        (f"\n# sample {i}\n" if i and i % every == 0 else "") + f"{v}\n"
+        for i, v in enumerate(values))
+    path.write_text(text if final_newline else text[:-1])
+    return path
+
+
+# Lines on either side of the plain layout's edges: a file holding them is
+# read or rejected exactly as the line parser decides.
+ADVERSARIAL = [
+    b"5\r", b"\r", b"5\r\n6", b"\t5", b"5\t", b"\x0b5", b"5\x0c", b"\x1c5", b"5\x1d",
+    b"\x1e", b"\x1f7", b"\xc2\xa05", b"5\xc2\xa0", b"\xef\xbb\xbf5", b"\xef\xbb\xbf# bom",
+    b"-0", b"-00", b"+5", b"0000", b"00000", b"00001", b"1" * 11, b"0" * 30 + b"9",
+    b"5 # note", b"5#", b"#5", b" # indented", b"# \xff\xfe not utf-8", b"\xff",
+    b"#\x80", b" ", b"", b"-", b"1_0", b"5.0", b"\xd9\xa1",
+]
+
+
+def random_file(rng, lo, hi):
+    """Lines mixing plain values, bounds, comments and adversarial lines."""
+    lines = []
+    for _ in range(rng.randrange(0, 9)):
+        r = rng.random()
+        if r < 0.5:
+            v = rng.choice((lo, hi, rng.randint(lo, hi)))
+            lines.append(str(v).zfill(rng.choice((0, 0, len(str(hi))))).encode())
+        elif r < 0.6:
+            lines.append(str(rng.choice((lo - 1, hi + 1))).encode())
+        elif r < 0.75:
+            lines.append(rng.choice((b"", b"#", b"# sample 50000", b"# x\x1cy\x0bz")))
+        else:
+            lines.append(rng.choice(ADVERSARIAL))
+    end = rng.choice((b"\n", b"\n", b"\n", b"\r\n", b"\r"))
+    return end.join(lines) + rng.choice((end, b""))
+
+
+def outcome(read):
+    try:
+        return [int(v) for v in read()]
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
+def test_plain_path_matches_line_parser(tmp_path, lo, hi):
+    rng = pyrandom.Random(hi)
+    bounds = [str(v).encode() for v in (lo - 1, lo, hi, hi + 1)]
+    files = [b"", b"\n", b"0", b"\n\n# c\n"] + [line + end for line in ADVERSARIAL + bounds
+                                                for end in (b"", b"\n", b"\n1\n")]
+    files += [random_file(rng, lo, hi) for _ in range(600)]
+    plain = 0
+    for data in files:
+        p = tmp_path / "f.txt"
+        p.write_bytes(data)
+        # the line parser splits the bytes in hand as a text file splits them
+        with _open_text(p, TraceFormatError) as fh:
+            assert list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                         errors="surrogateescape")) == list(fh)
+        expected = outcome(lambda: _parse_lines(p, data, lo, hi))
+        assert outcome(lambda: load_values(p, lo, hi)) == expected, data
+        fast = _plain_values(data, lo, hi)
+        if fast is not None:
+            plain += 1
+            assert fast.dtype == np.int64 and fast.tolist() == expected, data
+    # both paths are exercised
+    assert 100 < plain < len(files) - 100
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_benchmark_layout_takes_plain_path(tmp_path, monkeypatch, final_newline):
+    def refuse(*args):
+        raise AssertionError("line parser called")
+    monkeypatch.setattr(samples, "_parse_lines", refuse)
+    values = pyrandom.Random(5).choices(range(1024), k=500)
+    p = write_capture(tmp_path / "c.txt", [0, 1023] + values, 50, final_newline)
+    assert load_trace(p).values.tolist() == [0, 1023] + values
+    save_trace(SampleTrace(np.array(values)), p, header="capture\nnotes")
+    assert load_trace(p).values.tolist() == values
+
+
+def test_plain_path_peak_memory_below_line_parser(tmp_path, monkeypatch):
+    values = np.random.default_rng(3).integers(0, 1024, 10**5).tolist()
+    p = write_capture(tmp_path / "c.txt", values, 1000)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            load_trace(p)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert load_trace(p).values.tolist() == values
+    plain = peak()
+    monkeypatch.setattr(samples, "_plain_values", lambda *args: None)
+    assert plain < peak()
 
 
 def test_save_load_round_trip(tmp_path):
