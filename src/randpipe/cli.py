@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from datetime import datetime, timezone
@@ -126,7 +127,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and shared for the life of the process: do not add to it."""
     parser = argparse.ArgumentParser(
         prog="randpipe",
         description="Sample-stream randomness toolkit: simulate traces, extract "

@@ -52,14 +52,12 @@ class ProbDist:
 def build_prob_dist(trace: SampleTrace) -> ProbDist:
     """Frequency-rank the 1024 possible seed values from a sample trace."""
     counts = np.bincount(trace.values, minlength=SEED_SPACE)
-    observed = [int(v) for v in np.flatnonzero(counts)]
-    observed.sort(key=lambda v: (-int(counts[v]), v))
-    unobserved = [v for v in range(SEED_SPACE) if counts[v] == 0]
     counts.flags.writeable = False
+    # Stable, so ties (the unobserved values among them) stay in value order.
     return ProbDist(
-        order=tuple(observed + unobserved),
+        order=tuple(np.argsort(-counts, kind="stable").tolist()),
         counts=counts,
-        observed_count=len(observed),
+        observed_count=int(np.count_nonzero(counts)),
     )
 
 

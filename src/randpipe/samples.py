@@ -20,6 +20,7 @@ from typing import TextIO
 import numpy as np
 
 SAMPLE_MAX = 1023
+_SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
 
 SYNTH_KINDS = ("band", "drop", "interference", "replay")
 
@@ -319,11 +320,9 @@ def save_trace(trace: SampleTrace, path: str | PathLike,
                header: str | None = None) -> None:
     """Write a trace in the sample file format; optional '#' header line."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for v in trace.values:
-            fh.write(f"{v}\n")
+        fh.writelines(f"# {line}\n" for line in (header or "").splitlines())
+        for i in range(0, len(trace), _SAVE_CHUNK):
+            fh.write("".join(f"{v}\n" for v in trace.values[i:i + _SAVE_CHUNK].tolist()))
 
 
 @dataclass(frozen=True)

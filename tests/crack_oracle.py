@@ -1,9 +1,10 @@
-"""Slow reference implementations of randpipe.crack's search and audit.
+"""Slow reference implementations of randpipe.crack's ranking, search and audit.
 
-`search_loop` is the round-robin search that steps every candidate's
-stream one output at a time, and `audit_scan` generates all 1024
-candidate streams block by block. They are the definitions the
-closed-form code in randpipe.crack must reproduce field for field.
+`prob_dist_sort` ranks the candidates with a Python sort, `search_loop`
+is the round-robin search that steps every candidate's stream one output
+at a time, and `audit_scan` generates all 1024 candidate streams block
+by block. They are the definitions the numpy and closed-form code in
+randpipe.crack must reproduce field for field.
 
 Window slides restore generator state from the window's newest element:
 for this generator the next output is a function of the previous output
@@ -23,10 +24,21 @@ from randpipe.crack import (
     ProbDist,
     _checked_sequence,
 )
+from randpipe.samples import SampleTrace
 
 # Offsets per vectorized step of audit_scan; it bounds the step's
 # (SEED_SPACE, AUDIT_BLOCK + width - 1) int64 array to about 41 MB.
 AUDIT_BLOCK = 5000
+
+
+def prob_dist_sort(trace: SampleTrace) -> ProbDist:
+    """Observed values by descending count, ties by value, then the unobserved ascending."""
+    counts = np.bincount(trace.values, minlength=SEED_SPACE)
+    observed = [int(v) for v in np.flatnonzero(counts)]
+    observed.sort(key=lambda v: (-int(counts[v]), v))
+    unobserved = [v for v in range(SEED_SPACE) if counts[v] == 0]
+    return ProbDist(order=tuple(observed + unobserved), counts=counts,
+                    observed_count=len(observed))
 
 
 def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,

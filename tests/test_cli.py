@@ -480,6 +480,48 @@ def captured(capsys, rc):
     return rc, out.out, out.err
 
 
+GOLDEN_EXTRACT = {
+    "mean": (["--algo", "mean"], "842\nyield-ratio: 0.042100\n",
+             "4beb9e7ef41dd2848aa46ab496dba14bc4432dbe850c77b6f6ed08e2c81231d7"),
+    "updown": (["--algo", "updown"], "89\nyield-ratio: 0.004450\n",
+               "a55fc8597aa4492cac666df6323afcad797d97b69ac6d6e4f26c01cb07c1a3be"),
+    "mixmeanupdown": (["--algo", "mixmeanupdown"], "19\nyield-ratio: 0.000950\n",
+                      "3b62ed86567c870a5b7a76c96bff51f3fd23504749defa97f5021075e24701bf"),
+    "leastsign": (["--algo", "leastsign"], "5006\nyield-ratio: 0.250300\n",
+                  "135db002381acc8c9f8b525400a54c199ba77cef0a99bc61bbef2131dcca0662"),
+    "twoleastsign": (["--algo", "twoleastsign"], "4971\nyield-ratio: 0.248550\n",
+                     "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
+    "rate": (["--algo", "twoleastsign", "--rate", "10000"],
+             "4971\nyield-ratio: 0.248550\nestimated-bps: 2485.50\n",
+             "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
+    "no-vn": (["--algo", "mean", "--no-vn"], "9968\nyield-ratio: 0.498400\n",
+              "58c90478fe1b083db9ff8d72658461a0ba8059fd9be71c88f941ff2a8fe71227"),
+}
+
+GOLDEN_CRACK = {
+    "plain": ([], (0, "stats: total-steps=102840\nseed=338 offset=40\n", "")),
+    "optimized": (["--optimized"],
+                  (0, "stats: total-steps=104040\nseed=338 offset=40\n", "")),
+    "exhausted": (["--max-steps", "50000"], (1, "stats: total-steps=102400\n",
+                                             "error: seed not found within 50000 steps\n")),
+}
+
+
+def assert_golden_extract(files, capsys, tmp_path, name):
+    flags, stdout, digest = GOLDEN_EXTRACT[name]
+    bits = tmp_path / "b.txt"
+    rc = run("extract", "--in", str(files / "wide.txt"), *flags, "--out", str(bits))
+    assert captured(capsys, rc) == (0, "samples-in: 20000\nbits-out: " + stdout, "")
+    assert hashlib.sha256(bits.read_bytes()).hexdigest() == digest
+
+
+def assert_golden_crack(files, capsys, name):
+    flags, expected = GOLDEN_CRACK[name]
+    rc = run("crack", "--sequence", str(files / "observed.txt"),
+             "--samples", str(files / "capture.txt"), "--stats", *flags)
+    assert captured(capsys, rc) == expected
+
+
 class TestGoldenOutput:
     def test_stats(self, readme_files, capsys, tmp_path):
         hist = tmp_path / "h.csv"
@@ -489,42 +531,51 @@ class TestGoldenOutput:
             0, "samples: 2000\ndistinct: 7\nmin: 335\nmax: 341\n", "")
         assert hist.read_text() == README_HIST
 
-    @pytest.mark.parametrize("flags,stdout,digest", [
-        (["--algo", "mean"], "842\nyield-ratio: 0.042100\n",
-         "4beb9e7ef41dd2848aa46ab496dba14bc4432dbe850c77b6f6ed08e2c81231d7"),
-        (["--algo", "updown"], "89\nyield-ratio: 0.004450\n",
-         "a55fc8597aa4492cac666df6323afcad797d97b69ac6d6e4f26c01cb07c1a3be"),
-        (["--algo", "mixmeanupdown"], "19\nyield-ratio: 0.000950\n",
-         "3b62ed86567c870a5b7a76c96bff51f3fd23504749defa97f5021075e24701bf"),
-        (["--algo", "leastsign"], "5006\nyield-ratio: 0.250300\n",
-         "135db002381acc8c9f8b525400a54c199ba77cef0a99bc61bbef2131dcca0662"),
-        (["--algo", "twoleastsign"], "4971\nyield-ratio: 0.248550\n",
-         "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
-        (["--algo", "twoleastsign", "--rate", "10000"],
-         "4971\nyield-ratio: 0.248550\nestimated-bps: 2485.50\n",
-         "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
-        (["--algo", "mean", "--no-vn"], "9968\nyield-ratio: 0.498400\n",
-         "58c90478fe1b083db9ff8d72658461a0ba8059fd9be71c88f941ff2a8fe71227"),
-    ], ids=["mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign",
-            "rate", "no-vn"])
-    def test_extract(self, readme_files, capsys, tmp_path, flags, stdout, digest):
-        bits = tmp_path / "b.txt"
-        rc = run("extract", "--in", str(readme_files / "wide.txt"), *flags,
-                 "--out", str(bits))
-        assert captured(capsys, rc) == (
-            0, "samples-in: 20000\nbits-out: " + stdout, "")
-        assert hashlib.sha256(bits.read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("name", GOLDEN_EXTRACT)
+    def test_extract(self, readme_files, capsys, tmp_path, name):
+        assert_golden_extract(readme_files, capsys, tmp_path, name)
 
-    @pytest.mark.parametrize("flags,expected", [
-        ([], (0, "stats: total-steps=102840\nseed=338 offset=40\n", "")),
-        (["--optimized"], (0, "stats: total-steps=104040\nseed=338 offset=40\n", "")),
-        (["--max-steps", "50000"], (1, "stats: total-steps=102400\n",
-                                    "error: seed not found within 50000 steps\n")),
-    ], ids=["plain", "optimized", "exhausted"])
-    def test_crack_stats(self, readme_files, capsys, flags, expected):
-        rc = run("crack", "--sequence", str(readme_files / "observed.txt"),
-                 "--samples", str(readme_files / "capture.txt"), "--stats", *flags)
-        assert captured(capsys, rc) == expected
+    @pytest.mark.parametrize("name", GOLDEN_CRACK)
+    def test_crack_stats(self, readme_files, capsys, name):
+        assert_golden_crack(readme_files, capsys, name)
+
+
+class TestParserReuse:
+    """main parses every call with one parser; no call may change what a later one gets."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first,then", [("rate", "twoleastsign"), ("no-vn", "mean")])
+    def test_extract_flag_then_default(self, readme_files, capsys, tmp_path, first, then):
+        assert_golden_extract(readme_files, capsys, tmp_path, first)
+        assert_golden_extract(readme_files, capsys, tmp_path, then)
+
+    def test_crack_optimized_then_plain(self, readme_files, capsys):
+        assert_golden_crack(readme_files, capsys, "optimized")
+        assert_golden_crack(readme_files, capsys, "plain")
+
+    def test_usage_error_then_valid_command(self, readme_files, capsys):
+        # --optimized and --max-steps are parsed before the missing --samples is found.
+        with pytest.raises(SystemExit) as exc:
+            run("crack", "--sequence", str(readme_files / "observed.txt"),
+                "--optimized", "--max-steps", "50000", "--stats")
+        assert exc.value.code == 2
+        err = stderr_of(capsys)
+        assert err.startswith("usage: randpipe crack ")
+        assert err.endswith("error: the following arguments are required: --samples\n")
+        assert_golden_crack(readme_files, capsys, "plain")
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run("--help")
+            assert exc.value.code == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            texts.append(out.out)
+        assert texts[0].startswith("usage: randpipe ") and texts[0] == texts[1]
 
 
 def test_cli_defaults_match_library_defaults():

@@ -6,6 +6,7 @@ import pytest
 from randpipe.avrprng import MODULUS, stream
 from randpipe.crack import (
     GROUP_ORDER,
+    SEED_SPACE,
     CrackConfig,
     audit_candidate_streams,
     build_prob_dist,
@@ -15,11 +16,19 @@ from randpipe.crack import (
 )
 from randpipe.samples import SampleTrace
 
-from crack_oracle import audit_scan, search_loop, verify_scan
+from crack_oracle import audit_scan, prob_dist_sort, search_loop, verify_scan
 
 
 def trace(vals):
     return SampleTrace(np.array(vals, dtype=np.int64))
+
+
+def assert_same_dist(got, want):
+    assert got.order == want.order
+    assert got.observed_count == want.observed_count
+    assert np.array_equal(got.counts, want.counts)
+    assert all(type(v) is int for v in got.order)
+    assert type(got.observed_count) is int
 
 
 class TestBuildProbDist:
@@ -48,6 +57,25 @@ class TestBuildProbDist:
         assert freqs == sorted(freqs, reverse=True)
         assert all(f > 0 for f in freqs)
         assert all(counts[v] == 0 for v in dist.order[dist.observed_count:])
+
+    @pytest.mark.parametrize("vals", [
+        [3, 3, 1, 1, 2, 2, 900, 900, 0],
+        [881] * 7,
+        [],
+        list(range(SEED_SPACE)),
+        list(range(SEED_SPACE)) * 2 + [5, 1023, 1023, 0],
+    ], ids=["ties", "single-value", "empty", "all-values", "all-values-ties"])
+    def test_matches_sort_oracle(self, vals):
+        assert_same_dist(build_prob_dist(trace(vals)), prob_dist_sort(trace(vals)))
+
+    def test_seeded_traces_match_sort_oracle(self):
+        # 0 to 4000 samples over bands of 1 to 1024 values: most have tied counts.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            width = int(rng.integers(1, SEED_SPACE + 1))
+            lo = int(rng.integers(0, SEED_SPACE - width + 1))
+            vals = rng.integers(lo, lo + width, int(rng.integers(0, 4001))).tolist()
+            assert_same_dist(build_prob_dist(trace(vals)), prob_dist_sort(trace(vals)))
 
 
 class TestConfig:

@@ -7,6 +7,7 @@ import pytest
 
 from randpipe import samples
 from randpipe.samples import (
+    SAMPLE_MAX,
     SampleTrace,
     SynthModel,
     TraceFormatError,
@@ -222,6 +223,44 @@ def test_save_load_round_trip(tmp_path):
     p2 = tmp_path / "t2.txt"
     save_trace(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def save_trace_loop(trace, path, header=None):
+    """save_trace with one write per value: the oracle for its chunked writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            for line in header.splitlines():
+                fh.write(f"# {line}\n")
+        for v in trace.values:
+            fh.write(f"{v}\n")
+
+
+CHUNK = samples._SAVE_CHUNK
+
+
+@pytest.mark.parametrize("header", [None, "", "capture\nnotes  \n\n  indented"],
+                         ids=["no-header", "empty-header", "multi-line-header"])
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+def test_save_matches_loop(tmp_path, n, header):
+    t = SampleTrace(np.random.default_rng(n).integers(0, SAMPLE_MAX + 1, n))
+    save_trace(t, tmp_path / "chunked.txt", header=header)
+    save_trace_loop(t, tmp_path / "loop.txt", header=header)
+    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
+def test_save_peak_memory_bounded_by_chunk(tmp_path):
+    def peak(n):
+        t = SampleTrace(np.random.default_rng(n).integers(0, SAMPLE_MAX + 1, n))
+        tracemalloc.start()
+        try:
+            save_trace(t, tmp_path / "t.txt")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = peak(10**4), peak(10**6)
+    # A 2^14-value chunk's list, ints and strings take about 0.6 MB more than
+    # all of 10^4 values; writing 10^6 values as one string peaks near 90 MB.
+    assert large <= small + 2**20, (small, large)
 
 
 def test_save_header_comment_round_trips(tmp_path):
