@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -49,6 +50,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if args.rate is not None and not 0 < args.rate < math.inf:
+        raise ValueError(f"--rate must be positive and finite, got {args.rate}")
     trace = samples.load_trace(args.infile)
     cfg = extract.ExtractorConfig(
         algorithm=args.algo, window_k=args.k, apply_vn=not args.no_vn

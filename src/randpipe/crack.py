@@ -39,12 +39,12 @@ _PRIME_POWERS = (2, 9, 7, 11, 31, 151, 331)    # product: GROUP_ORDER
 class ProbDist:
     """All 1024 candidate seeds, most frequently observed first.
 
-    order holds each value in [0, 1023] exactly once: observed values by
-    descending frequency (ties broken by ascending value), then
-    unobserved values ascending. counts[v] is the observed frequency.
+    order holds each value in [0, 1023] once, as a read-only int64 array:
+    observed values by descending frequency (ties broken by ascending
+    value), then unobserved values ascending. counts[v] is the frequency.
     """
 
-    order: tuple[int, ...]
+    order: np.ndarray
     counts: np.ndarray = field(repr=False)
     observed_count: int
 
@@ -52,10 +52,11 @@ class ProbDist:
 def build_prob_dist(trace: SampleTrace) -> ProbDist:
     """Frequency-rank the 1024 possible seed values from a sample trace."""
     counts = np.bincount(trace.values, minlength=SEED_SPACE)
-    counts.flags.writeable = False
     # Stable, so ties (the unobserved values among them) stay in value order.
+    order = np.argsort(-counts, kind="stable")
+    counts.flags.writeable = order.flags.writeable = False
     return ProbDist(
-        order=tuple(np.argsort(-counts, kind="stable").tolist()),
+        order=order,
         counts=counts,
         observed_count=int(np.count_nonzero(counts)),
     )
@@ -82,14 +83,12 @@ class CrackResult:
 
     offset is the number of window slides performed on the winning
     candidate, i.e. the observed sequence starts offset outputs into its
-    stream. slides_by_seed counts phase-2 slides per candidate (only
-    candidates that slid at least once appear).
+    stream. total_steps counts every output the stepped search generates.
     """
 
     seed: int | None
     offset: int | None
     total_steps: int
-    slides_by_seed: dict[int, int] = field(repr=False, default_factory=dict)
 
 
 def _checked_sequence(s: Sequence[int]) -> list[int]:
@@ -159,35 +158,42 @@ def _search(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
     """
     vals = _checked_sequence(s)
     k = len(vals)
-    order = dist.order
+    order, observed = dist.order, dist.observed_count
     base = cfg.m + k
-    weight = cfg.t if optimized else 1
-    quotas = [weight * base] * dist.observed_count + [base] * (len(order) - dist.observed_count)
+    extra = (cfg.t - 1) * base if optimized else 0   # added to observed candidates' quotas
+
+    def round_steps(i: int) -> int:
+        """The steps a phase-2 round spends on candidates order[:i]."""
+        return base * i + extra * min(i, observed)
 
     # d[i]: the smallest offset of the window in candidate order[i]'s
     # stream. A window that is not an arc of the generator has none.
-    d = _offsets(vals[0])[list(order)] if _is_arc(vals) else None
+    d = _offsets(vals[0])[order] if _is_arc(vals) else None
     if d is not None and d.min() == 0:
         win = int(np.argmin(d))
-        return CrackResult(seed=order[win], offset=0, total_steps=(win + 1) * k)
-    total = len(order) * k
+        return CrackResult(seed=int(order[win]), offset=0, total_steps=(win + 1) * k)
+    total = SEED_SPACE * k
     if total > cfg.max_total_steps:
         return CrackResult(seed=None, offset=None, total_steps=total)
 
     # The budget check fails after phase-2 round last_round, counted from 0.
-    last_round = (cfg.max_total_steps - total) // sum(quotas)
-    seed = offset = None
-    slides = [(last_round + 1) * q for q in quotas]
+    q = round_steps(SEED_SPACE)
+    last_round = (cfg.max_total_steps - total) // q
     if d is not None:
-        rounds = (d - 1) // np.array(quotas)
+        # Clipped at GROUP_ORDER > d - 1, the quotas give the same rounds
+        # and fit in int64.
+        quotas = np.full(SEED_SPACE, min(base, GROUP_ORDER))
+        quotas[:observed] = min(base + extra, GROUP_ORDER)
+        rounds = (d - 1) // quotas
         win = int(np.argmin(rounds))
         r = int(rounds[win])
         if r <= last_round:
-            slides = [(r + (i < win)) * q for i, q in enumerate(quotas)]
-            seed, offset = order[win], int(d[win])
-            slides[win] = offset
-    return CrackResult(seed=seed, offset=offset, total_steps=total + sum(slides),
-                       slides_by_seed={order[i]: c for i, c in enumerate(slides) if c})
+            # r rounds without the winner's quota, round r up to the
+            # winner, then the winner's own slides.
+            before, offset = round_steps(win), int(d[win])
+            steps = r * (q - round_steps(win + 1) + before) + before + offset
+            return CrackResult(seed=int(order[win]), offset=offset, total_steps=total + steps)
+    return CrackResult(seed=None, offset=None, total_steps=total + (last_round + 1) * q)
 
 
 def find_seed(s: Sequence[int], cfg: CrackConfig, dist: ProbDist) -> CrackResult:

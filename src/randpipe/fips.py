@@ -51,18 +51,33 @@ RUNS_DF = 16
 
 
 class MonobitResult(NamedTuple):
+    """Count of ones; passes iff 9654 < n1 < 10346."""
+
     n1: int
     x1: float
     passed: bool
 
 
 class PokerResult(NamedTuple):
+    """Frequency of 4-bit hands; passes iff 1.03 < x3 < 57.4.
+
+    The sequence is cut into k = 5000 disjoint 4-bit hands, each read
+    MSB-first as an integer in [0, 16); counts[i] is the number of hands
+    equal to i. x3 = (16 / k) * sum(counts[i]^2) - k.
+    """
+
     x3: float
     passed: bool
     counts: tuple[int, ...]
 
 
 class RunsResult(NamedTuple):
+    """Run counts by length; passes iff all 12 counts sit in RUN_INTERVALS.
+
+    x4 is the chi-square sum over the truncated counts against
+    expected_run_count and is reported for information only.
+    """
+
     block_counts: tuple[int, ...]    # lengths 1..6, >6 truncated into 6
     gap_counts: tuple[int, ...]
     x4: float
@@ -70,6 +85,8 @@ class RunsResult(NamedTuple):
 
 
 class LongRunsResult(NamedTuple):
+    """Passes iff no run of either symbol is longer than 34 bits."""
+
     longest_run: int
     passed: bool
 
@@ -90,34 +107,6 @@ def run_lengths(bits: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarra
 def expected_run_count(n: int, i: int) -> float:
     """Expected number of blocks (or gaps) of length i in n random bits."""
     return (n - i + 3) / 2 ** (i + 2)
-
-
-def monobit(s: Sequence[int] | np.ndarray) -> MonobitResult:
-    """Count of ones; passes iff 9654 < n1 < 10346."""
-    return fips_suite(s).monobit
-
-
-def poker(s: Sequence[int] | np.ndarray) -> PokerResult:
-    """Frequency of 4-bit hands; passes iff 1.03 < x3 < 57.4.
-
-    The sequence is cut into k = 5000 disjoint 4-bit hands, each read
-    MSB-first as an integer in [0, 16). x3 = (16 / k) * sum(n_i^2) - k.
-    """
-    return fips_suite(s).poker
-
-
-def runs(s: Sequence[int] | np.ndarray) -> RunsResult:
-    """Run counts by length; passes iff all 12 counts sit in RUN_INTERVALS.
-
-    x4 is the chi-square sum over the truncated counts against
-    expected_run_count and is reported for information only.
-    """
-    return fips_suite(s).runs
-
-
-def long_runs(s: Sequence[int] | np.ndarray) -> LongRunsResult:
-    """Passes iff no run of either symbol exceeds 34 bits."""
-    return fips_suite(s).long_runs
 
 
 class TestReport(NamedTuple):

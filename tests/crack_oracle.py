@@ -37,8 +37,9 @@ def prob_dist_sort(trace: SampleTrace) -> ProbDist:
     observed = [int(v) for v in np.flatnonzero(counts)]
     observed.sort(key=lambda v: (-int(counts[v]), v))
     unobserved = [v for v in range(SEED_SPACE) if counts[v] == 0]
-    return ProbDist(order=tuple(observed + unobserved), counts=counts,
-                    observed_count=len(observed))
+    order = np.array(observed + unobserved, dtype=np.int64)
+    order.flags.writeable = False
+    return ProbDist(order=order, counts=counts, observed_count=len(observed))
 
 
 def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
@@ -47,7 +48,7 @@ def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
     k = len(vals)
     s_dq = deque(vals)
     s_last = vals[-1]
-    order = dist.order
+    order = dist.order.tolist()
     mult, mod = MULTIPLIER, MODULUS
     base = cfg.m + k
     if optimized:
@@ -55,9 +56,6 @@ def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
             + [base] * (len(order) - dist.observed_count)
     else:
         quotas = [base] * len(order)
-
-    def _slide_dict(slide_counts: list[int]) -> dict[int, int]:
-        return {order[i]: c for i, c in enumerate(slide_counts) if c}
 
     # Phase 1: fill a k-window per candidate and test for a direct match.
     windows: list[deque] = []
@@ -104,19 +102,11 @@ def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
             if hit:
                 slides[idx] += hit
                 total += hit
-                return CrackResult(
-                    seed=order[idx],
-                    offset=slides[idx],
-                    total_steps=total,
-                    slides_by_seed=_slide_dict(slides),
-                )
+                return CrackResult(seed=order[idx], offset=slides[idx], total_steps=total)
             slides[idx] += quotas[idx]
             total += quotas[idx]
         if total > cfg.max_total_steps:
-            return CrackResult(
-                seed=None, offset=None, total_steps=total,
-                slides_by_seed=_slide_dict(slides),
-            )
+            return CrackResult(seed=None, offset=None, total_steps=total)
 
 
 def verify_scan(g: int, s: Sequence[int], max_offset: int) -> int | None:

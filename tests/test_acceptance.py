@@ -22,7 +22,7 @@ from randpipe.crack import (
     verify_seed,
 )
 from randpipe.extract import raw_twoleastsign, von_neumann
-from randpipe.fips import fips_suite, ints_to_bits, long_runs, monobit, poker, runs
+from randpipe.fips import fips_suite, ints_to_bits
 from randpipe.samples import SynthModel, save_trace, synth_trace
 
 from test_fips import crypto_bits, naive_scan, naive_x3, naive_x4
@@ -85,10 +85,7 @@ def test_criterion_4_brute_force_equivalence():
         bits = rng.integers(0, 2, 20000, dtype=np.int64).astype(np.uint8)
         n1, pcounts, blocks, gaps, longest, _ = naive_scan(bits.tolist())
 
-        mono = monobit(bits)
-        pok = poker(bits)
-        run = runs(bits)
-        lng = long_runs(bits)
+        mono, pok, run, lng = fips_suite(bits)
 
         same = (
             mono.n1 == n1

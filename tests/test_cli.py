@@ -205,6 +205,17 @@ class TestExtract:
                    "--rate", "10000") == 0
         assert "estimated-bps: 10000.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf"])
+    def test_rate_must_be_positive_and_finite(self, tmp_path, capsys, rate):
+        trace_file = tmp_path / "t.txt"
+        write_lines(trace_file, [0, 1] * 500)
+        out = tmp_path / "b.txt"
+        assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
+                   "--out", str(out), "--rate", rate) == 2
+        assert stderr_of(capsys) == \
+            f"error: --rate must be positive and finite, got {float(rate)}\n"
+        assert not out.exists()
+
     def test_malformed_trace(self, tmp_path, capsys):
         trace_file = tmp_path / "t.txt"
         trace_file.write_text("1\nbogus\n")

@@ -11,11 +11,7 @@ from randpipe.fips import (
     fips_suite,
     format_report,
     ints_to_bits,
-    long_runs,
-    monobit,
-    poker,
     run_lengths,
-    runs,
 )
 from randpipe.samples import SampleTrace
 
@@ -93,17 +89,17 @@ def naive_x4(blocks, gaps, n=N):
 class TestMonobit:
     def test_balanced_passes_with_zero_statistic(self):
         bits = np.concatenate([np.ones(10000, np.uint8), np.zeros(10000, np.uint8)])
-        r = monobit(bits)
+        r = fips_suite(bits).monobit
         assert r.n1 == 10000 and r.x1 == 0.0 and r.passed
 
     def test_all_zeros_fails(self):
-        r = monobit(ALL_ZEROS)
+        r = fips_suite(ALL_ZEROS).monobit
         assert r.n1 == 0 and not r.passed
         assert r.x1 == pytest.approx(20000.0, abs=1e-9)
 
     def test_9947_ones_passes(self):
         bits = np.concatenate([np.ones(9947, np.uint8), np.zeros(10053, np.uint8)])
-        r = monobit(bits)
+        r = fips_suite(bits).monobit
         assert r.passed
         assert r.x1 == pytest.approx(0.5618, abs=1e-9)
 
@@ -111,27 +107,27 @@ class TestMonobit:
                                              (10345, True), (10346, False)])
     def test_bounds_are_exclusive(self, n1, expected):
         bits = np.concatenate([np.ones(n1, np.uint8), np.zeros(N - n1, np.uint8)])
-        assert monobit(bits).passed is expected
+        assert fips_suite(bits).monobit.passed is expected
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            monobit(np.zeros(19999, np.uint8))
+            fips_suite(np.zeros(19999, np.uint8))
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(41)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        assert monobit(bits).x1 == monobit(1 - bits).x1
+        assert fips_suite(bits).monobit.x1 == fips_suite(1 - bits).monobit.x1
 
 
 class TestPoker:
     def test_all_zeros(self):
-        r = poker(ALL_ZEROS)
+        r = fips_suite(ALL_ZEROS).poker
         assert r.x3 == pytest.approx(75000.0, abs=1e-9)
         assert not r.passed
         assert r.counts[0] == 5000
 
     def test_alternating_all_chunks_are_five(self):
-        r = poker(ALTERNATING)
+        r = fips_suite(ALTERNATING).poker
         assert r.counts[5] == 5000
         assert r.x3 == pytest.approx(75000.0, abs=1e-9)
         assert not r.passed
@@ -148,18 +144,18 @@ class TestPoker:
         bits = np.array(
             [(v >> s) & 1 for v in chunks for s in (3, 2, 1, 0)], dtype=np.uint8
         )
-        r = poker(bits)
+        r = fips_suite(bits).poker
         assert r.x3 == pytest.approx(0.0128, abs=1e-9)
         assert not r.passed
 
     def test_statistic_non_negative(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            assert poker(rng.integers(0, 2, N).astype(np.uint8)).x3 >= 0.0
+            assert fips_suite(rng.integers(0, 2, N).astype(np.uint8)).poker.x3 >= 0.0
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            poker(np.zeros(400, np.uint8))
+            fips_suite(np.zeros(400, np.uint8))
 
 
 class TestRuns:
@@ -169,13 +165,13 @@ class TestRuns:
         assert symbols.tolist() == [1, 0, 1, 0]
 
     def test_all_zeros_single_gap(self):
-        r = runs(ALL_ZEROS)
+        r = fips_suite(ALL_ZEROS).runs
         assert r.gap_counts == (0, 0, 0, 0, 0, 1)
         assert r.block_counts == (0, 0, 0, 0, 0, 0)
         assert not r.passed
 
     def test_alternating_fails(self):
-        r = runs(ALTERNATING)
+        r = fips_suite(ALTERNATING).runs
         assert r.block_counts[0] == 10000 and r.gap_counts[0] == 10000
         assert not r.passed
 
@@ -183,7 +179,7 @@ class TestRuns:
         assert expected_run_count(20000, 1) == 2500.25
 
     def test_reference_bits_pass(self):
-        assert runs(crypto_bits("runs-ok", N)).passed
+        assert fips_suite(crypto_bits("runs-ok", N)).runs.passed
 
     def test_intervals_inclusive(self):
         assert RUN_INTERVALS[1] == (2267, 2733)
@@ -200,8 +196,8 @@ class TestRuns:
     def test_complement_swaps_blocks_and_gaps(self):
         rng = np.random.default_rng(53)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        r = runs(bits)
-        rc = runs(1 - bits)
+        r = fips_suite(bits).runs
+        rc = fips_suite(1 - bits).runs
         assert r.block_counts == rc.gap_counts
         assert r.gap_counts == rc.block_counts
 
@@ -210,7 +206,7 @@ class TestRuns:
         for _ in range(10):
             bits = rng.integers(0, 2, N).astype(np.uint8)
             n1, pcounts, blocks, gaps, longest, nruns = naive_scan(bits)
-            r = runs(bits)
+            r = fips_suite(bits).runs
             assert r.block_counts == tuple(blocks)
             assert r.gap_counts == tuple(gaps)
             assert r.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
@@ -222,11 +218,11 @@ class TestRuns:
 
 class TestLongRuns:
     def test_alternating_passes(self):
-        r = long_runs(ALTERNATING)
+        r = fips_suite(ALTERNATING).long_runs
         assert r.longest_run == 1 and r.passed
 
     def test_all_zeros_fails(self):
-        r = long_runs(ALL_ZEROS)
+        r = fips_suite(ALL_ZEROS).long_runs
         assert r.longest_run == 20000 and not r.passed
 
     def test_exactly_35_fails(self):
@@ -235,7 +231,7 @@ class TestLongRuns:
         bits = np.concatenate([np.ones(35, np.uint8), np.zeros(1, np.uint8),
                                tail])
         assert bits.size == N
-        r = long_runs(bits)
+        r = fips_suite(bits).long_runs
         assert r.longest_run == 35 and not r.passed
 
     def test_exactly_34_passes(self):
@@ -243,13 +239,13 @@ class TestLongRuns:
         bits = np.concatenate([np.ones(34, np.uint8), np.zeros(2, np.uint8),
                                tail])
         assert bits.size == N
-        r = long_runs(bits)
+        r = fips_suite(bits).long_runs
         assert r.longest_run == 34 and r.passed
 
     def test_complement_invariant(self):
         rng = np.random.default_rng(61)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        assert long_runs(bits).longest_run == long_runs(1 - bits).longest_run
+        assert fips_suite(bits).long_runs.longest_run == fips_suite(1 - bits).long_runs.longest_run
 
 
 class TestSuite:
