@@ -35,18 +35,29 @@ GROUP_ORDER = MODULUS - 1
 _PRIME_POWERS = (2, 9, 7, 11, 31, 151, 331)    # product: GROUP_ORDER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbDist:
     """All 1024 candidate seeds, most frequently observed first.
 
     order holds each value in [0, 1023] once, as a read-only int64 array:
     observed values by descending frequency (ties broken by ascending
     value), then unobserved values ascending. counts[v] is the frequency.
+    Dists compare and hash by identity, as their arrays cannot.
     """
 
     order: np.ndarray
     counts: np.ndarray = field(repr=False)
     observed_count: int
+
+    def __post_init__(self) -> None:
+        order = self.order
+        if not (isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu"
+                and np.array_equal(np.sort(order), np.arange(SEED_SPACE))):
+            raise ValueError(f"order must be a 1-D integer permutation of 0..{SEED_SPACE - 1}")
+        if np.shape(self.counts) != (SEED_SPACE,):
+            raise ValueError(f"counts must have {SEED_SPACE} entries")
+        if self.observed_count != np.count_nonzero(self.counts):
+            raise ValueError("observed_count must equal the number of nonzero counts")
 
 
 def build_prob_dist(trace: SampleTrace) -> ProbDist:
@@ -55,11 +66,7 @@ def build_prob_dist(trace: SampleTrace) -> ProbDist:
     # Stable, so ties (the unobserved values among them) stay in value order.
     order = np.argsort(-counts, kind="stable")
     counts.flags.writeable = order.flags.writeable = False
-    return ProbDist(
-        order=order,
-        counts=counts,
-        observed_count=int(np.count_nonzero(counts)),
-    )
+    return ProbDist(order, counts, observed_count=int(np.count_nonzero(counts)))
 
 
 @dataclass(frozen=True)

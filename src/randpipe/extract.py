@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .samples import SampleTrace, _open_text, _undecodable
+from .samples import SampleTrace, _read_input, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
@@ -157,15 +157,15 @@ def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    with _open_text(path, BitFormatError) as fh:
-        text = fh.read()
+    text = _read_input(path, BitFormatError).decode("utf-8", "surrogateescape")
     digits = "".join(text.split())     # split() drops exactly what isspace() accepts
-    rest = digits.lstrip("01")
+    rest = digits.translate(str.maketrans("", "", "01"))    # all but the bits
     if rest:
         ch = rest[0]
-        # Only bits and whitespace precede ch's first occurrence; text mode
-        # has turned every line end into '\n'.
-        lineno = text.count("\n", 0, text.index(ch)) + 1
+        # Only bits and whitespace precede ch's first occurrence. Lines end
+        # at '\n', '\r' and '\r\n', as text mode reads them.
+        head = text[:text.index(ch)]
+        lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
         raise BitFormatError(f"{path}: line {lineno}: {what}")
     return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")

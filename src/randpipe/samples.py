@@ -15,7 +15,6 @@ import random as _pyrandom
 from dataclasses import dataclass, field
 from math import isfinite, pi, sin
 from os import PathLike
-from typing import TextIO
 
 import numpy as np
 
@@ -179,20 +178,18 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     return SampleTrace(arr)
 
 
-def _open_text(path: str | PathLike, error: type[ValueError]) -> TextIO:
-    """Open an input file as UTF-8; failing to open it raises `error` naming the path.
-
-    Bytes that are not UTF-8 decode to lone surrogates (surrogateescape),
-    so the parser reports them as it meets them, in line order.
-    """
+def _read_input(path: str | PathLike, error: type[ValueError]) -> bytes:
+    """An input file's bytes; failing to read it raises `error` naming the path."""
     try:
-        return open(path, encoding="utf-8", errors="surrogateescape")
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc}") from exc
 
 
 def _undecodable(text: str) -> bool:
-    """Whether text, decoded with surrogateescape, holds bytes that are not UTF-8."""
+    """Whether text holds bytes that are not UTF-8. Inputs are decoded with surrogateescape,
+    which makes each such byte a lone surrogate, so parsers report it in line order."""
     return any("\udc80" <= ch <= "\udcff" for ch in text)
 
 
@@ -299,11 +296,7 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
     plain files when its header is ASCII. Every other file, valid or not,
     goes to the line parser, which also names the first bad line.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
+    data = _read_input(path, TraceFormatError)
     values = _plain_values(data, lo, hi)
     if values is None:
         values = np.array(_parse_lines(path, data, lo, hi), dtype=np.int64)

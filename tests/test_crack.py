@@ -8,6 +8,7 @@ from randpipe.crack import (
     GROUP_ORDER,
     SEED_SPACE,
     CrackConfig,
+    ProbDist,
     audit_candidate_streams,
     build_prob_dist,
     find_seed,
@@ -77,6 +78,29 @@ class TestBuildProbDist:
             lo = int(rng.integers(0, SEED_SPACE - width + 1))
             vals = rng.integers(lo, lo + width, int(rng.integers(0, 4001))).tolist()
             assert_same_dist(build_prob_dist(trace(vals)), prob_dist_sort(trace(vals)))
+
+
+class TestProbDistFields:
+    COUNTS = np.bincount([5, 5, 7], minlength=SEED_SPACE)
+    ORDER = build_prob_dist(trace([5, 5, 7])).order
+
+    @pytest.mark.parametrize("field, order, counts, observed", [
+        ("order", tuple(range(SEED_SPACE)), COUNTS, 2),
+        ("order", np.arange(5), COUNTS, 2),
+        ("order", np.r_[0, 0, np.arange(2, SEED_SPACE)], COUNTS, 2),
+        ("order", np.arange(SEED_SPACE, dtype=float), COUNTS, 2),
+        ("order", np.arange(SEED_SPACE).reshape(32, 32), COUNTS, 2),
+        ("counts", ORDER, COUNTS[:5], 2),
+        ("observed_count", ORDER, COUNTS, 3),
+    ], ids=["tuple", "short", "duplicate", "float", "2-d", "short-counts", "wrong-count"])
+    def test_bad_field_is_named(self, field, order, counts, observed):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ProbDist(order=order, counts=counts, observed_count=observed)
+
+    def test_compare_and_hash_by_identity(self):
+        a, b = build_prob_dist(trace([5, 5, 7])), build_prob_dist(trace([5, 5, 7]))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestConfig:

@@ -18,7 +18,7 @@ from randpipe.extract import (
     write_bits,
     yield_ratio,
 )
-from randpipe.samples import SampleTrace, _open_text, _undecodable
+from randpipe.samples import SampleTrace, _undecodable
 
 
 def trace(*vals):
@@ -57,7 +57,7 @@ def raw_mean_loop(trace: SampleTrace, k: int) -> np.ndarray:
 def read_bits_loop(path) -> np.ndarray:
     # the bit-file reader as a loop over lines and characters: the oracle for read_bits
     out = []
-    with _open_text(path, BitFormatError) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             for ch in line:
                 if ch == "0":
@@ -260,6 +260,17 @@ BIT_FILE_PIECES = [
 ]
 
 
+# Bad characters after each kind of line end; the messages are those of a
+# text-mode reader, which splits lines at '\n', '\r' and '\r\n' only.
+LINE_NUMBER_CASES = [
+    (b"0102\n", "line 1: invalid character '2'"),
+    (b"01\r10\r\n1x", "line 3: invalid character 'x'"),
+    ("0\u20281x".encode(), "line 1: invalid character 'x'"),
+    (b"0\x0c1\x1cx", "line 1: invalid character 'x'"),
+    (b"0\r\xff", "line 2: not UTF-8"),
+]
+
+
 class TestBitFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -280,7 +291,7 @@ class TestBitFiles:
 
         rng = pyrandom.Random(31)
         p = tmp_path / "bits.txt"
-        files = [b"", b"0101", b"01\n10"]
+        files = [b"", b"0101", b"01\n10"] + [data for data, _ in LINE_NUMBER_CASES]
         for _ in range(2500):
             # files without bad pieces, with a rare one, or with many
             weights = [40, 40] + [3] * 13 + [rng.choice((0, 0.1, 1))] * 8
@@ -303,6 +314,13 @@ class TestBitFiles:
 
     def test_invalid_character(self, tmp_path):
         p = tmp_path / "bits.txt"
-        p.write_text("0102\n")
-        with pytest.raises(ValueError, match="line 1"):
-            read_bits(p)
+        for data, message in LINE_NUMBER_CASES:
+            p.write_bytes(data)
+            with pytest.raises(BitFormatError) as exc:
+                read_bits(p)
+            assert str(exc.value) == f"{p}: {message}", data
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(BitFormatError) as exc:
+            read_bits(tmp_path)
+        assert str(exc.value).startswith(f"{tmp_path}: cannot read: ")

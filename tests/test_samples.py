@@ -11,7 +11,6 @@ from randpipe.samples import (
     SampleTrace,
     SynthModel,
     TraceFormatError,
-    _open_text,
     _parse_lines,
     _plain_values,
     load_trace,
@@ -171,7 +170,7 @@ def test_plain_path_matches_line_parser(tmp_path, lo, hi):
         p = tmp_path / "f.txt"
         p.write_bytes(data)
         # the line parser splits the bytes in hand as a text file splits them
-        with _open_text(p, TraceFormatError) as fh:
+        with open(p, encoding="utf-8", errors="surrogateescape") as fh:
             assert list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                          errors="surrogateescape")) == list(fh)
         expected = outcome(lambda: _parse_lines(p, data, lo, hi))
