@@ -89,8 +89,9 @@ def cmd_intbits(args: argparse.Namespace) -> int:
 
 
 def cmd_lcg(args: argparse.Namespace) -> int:
-    for v in avrprng.stream(args.seed, args.count):
-        print(v)
+    # One write per line, not one for all: under `python -u` a single large
+    # write to a pipe its reader closes ends partway with no error.
+    sys.stdout.writelines(f"{v}\n" for v in avrprng.stream(args.seed, args.count))
     return 0
 
 
@@ -118,11 +119,10 @@ def cmd_crack(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     st = samples.trace_stats(samples.load_trace(args.infile))
+    seen = st.counts.nonzero()[0]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("value,count\n")
-        for v in range(samples.SAMPLE_MAX + 1):
-            if st.counts[v]:
-                fh.write(f"{v},{st.counts[v]}\n")
+        fh.write("value,count\n" + "".join(
+            f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist())))
     print(f"samples: {st.total}")
     print(f"distinct: {st.distinct}")
     print(f"min: {st.min_value}")

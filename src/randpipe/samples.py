@@ -14,12 +14,14 @@ import io
 import random as _pyrandom
 from dataclasses import dataclass, field
 from math import isfinite, pi, sin
+from operator import index
 from os import PathLike
 
 import numpy as np
 
 SAMPLE_MAX = 1023
 _SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
+_LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line for each value
 
 SYNTH_KINDS = ("band", "drop", "interference", "replay")
 
@@ -76,7 +78,9 @@ class SynthModel:
       replay        cycles the stored replay_values
 
     Identical (kind, parameters, rng_seed) always produce identical
-    traces.
+    traces. A trace depends on the seeded `random.Random` only through
+    its random() and getrandbits() outputs, not on how a Python version
+    implements choice() or randrange().
     """
 
     kind: str
@@ -134,16 +138,30 @@ def _band_walk(model: SynthModel, n: int, rng: _pyrandom.Random) -> list[int]:
     lo = model.center - model.halfwidth + model.noise_width
     hi = model.center + model.halfwidth - model.noise_width
     nw = model.noise_width
+    stickiness = model.stickiness
+    random, getrandbits = rng.random, rng.getrandbits
+    # choice((-1, 1)) and randrange(-nw, nw) as CPython 3.11 draws them:
+    # a draw below m is m.bit_length() bits, redrawn while >= m.
+    width = 2 * nw
+    k = index(width).bit_length()       # numpy integers have no bit_length
     v = model.center
     out = []
+    append = out.append
     for _ in range(n):
-        if rng.random() >= model.stickiness:
-            v += rng.choice((-1, 1))
-            if v < lo:
-                v = lo
-            elif v > hi:
-                v = hi
-        out.append((v + rng.randrange(-nw, nw)) if nw else v)
+        if random() >= stickiness:
+            while (r := getrandbits(2)) > 1:
+                pass
+            if r:                       # v is in [lo, hi], so a step clamps only at an edge
+                if v < hi:
+                    v += 1
+            elif v > lo:
+                v -= 1
+        if nw:
+            while (r := getrandbits(k)) >= width:
+                pass
+            append(v - nw + r)
+        else:
+            append(v)
     return out
 
 
@@ -315,7 +333,7 @@ def save_trace(trace: SampleTrace, path: str | PathLike,
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {line}\n" for line in (header or "").splitlines())
         for i in range(0, len(trace), _SAVE_CHUNK):
-            fh.write("".join(f"{v}\n" for v in trace.values[i:i + _SAVE_CHUNK].tolist()))
+            fh.write("".join(map(_LINES.__getitem__, trace.values[i:i + _SAVE_CHUNK].tolist())))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,20 @@ class TestSimulate:
         assert out.read_text().startswith("# model=band")
         assert len(load_trace(out)) == 10
 
+    # sha256 of the README's two simulate outputs: how a trace is drawn may
+    # change, its bytes may not.
+    @pytest.mark.parametrize("argv,digest", [
+        (["--center", "338", "--halfwidth", "3", "--n", "2000", "--seed", "7"],
+         "c59e6170dd90a62f118c1b109a65fb506f433ff9bfe0f4624c204ff34d49e033"),
+        (["--center", "512", "--halfwidth", "40", "--stickiness", "0.7",
+          "--noise-width", "2", "--n", "100000", "--seed", "1"],
+         "cfa2e0cc6eefc33309153304d9e553d127c6638f2ffe31ba0f1d76d7dc772ad0"),
+    ], ids=["capture", "wide"])
+    def test_readme_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", "band", *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_replay_model(self, tmp_path):
         src = tmp_path / "src.txt"
         write_lines(src, [7, 8, 9])
@@ -327,6 +341,10 @@ class TestLcg:
         run("lcg", "--seed", "1", "--count", "1")
         one = capsys.readouterr().out
         assert zero == one == "16807\n"
+
+    def test_zero_count_prints_nothing(self, capsys):
+        assert run("lcg", "--seed", "1", "--count", "0") == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_negative_seed(self, capsys):
         assert run("lcg", "--seed", "-3", "--count", "1") == 2
@@ -626,17 +644,28 @@ def test_unwritable_output(tmp_path, capsys, argv):
     assert err.endswith("\n") and err.count("\n") == 1
 
 
-def test_closed_stdout_pipe_exits_quietly():
-    # A reader that stops early, as `randpipe lcg ... | head -1` does, gets
-    # exit code 1 and no traceback or message on stderr.
+def closed_pipe_outcome(**env_vars):
+    """(exit code, stderr) of `randpipe lcg` whose reader closes after one line."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     proc = subprocess.Popen(
         [sys.executable, "-m", "randpipe", "lcg", "--seed", "1", "--count", "200000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"16807\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert err == b""
+    return proc.returncode, err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # A reader that stops early, as `randpipe lcg ... | head -1` does, gets
+    # exit code 1 and no traceback or message on stderr.
+    assert closed_pipe_outcome() == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_either_buffering(unbuffered):
+    # Unbuffered (`python -u`), one large write to a pipe whose reader has
+    # gone can end short without an error, so the output must not be one write.
+    assert closed_pipe_outcome(PYTHONUNBUFFERED=unbuffered) == (1, b"")

@@ -237,6 +237,15 @@ def save_trace_loop(trace, path, header=None):
 CHUNK = samples._SAVE_CHUNK
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+def test_save_every_value_matches_loop(tmp_path, order):
+    # Every value once: each line of the table and each change in digit count.
+    t = SampleTrace(np.arange(SAMPLE_MAX + 1)[::order])
+    save_trace(t, tmp_path / "table.txt")
+    save_trace_loop(t, tmp_path / "loop.txt")
+    assert (tmp_path / "table.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
 @pytest.mark.parametrize("header", [None, "", "capture\nnotes  \n\n  indented"],
                          ids=["no-header", "empty-header", "multi-line-header"])
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
@@ -268,6 +277,89 @@ def test_save_header_comment_round_trips(tmp_path):
     save_trace(t, p, header="capture notes")
     assert p.read_text().startswith("# capture notes\n")
     assert load_trace(p).values.tolist() == [1, 2]
+
+
+def band_walk_loop(model, n, rng):
+    """_band_walk through rng.choice and rng.randrange: the oracle for its inline draws."""
+    lo = model.center - model.halfwidth + model.noise_width
+    hi = model.center + model.halfwidth - model.noise_width
+    nw = model.noise_width
+    v = model.center
+    out = []
+    for _ in range(n):
+        if rng.random() >= model.stickiness:
+            v += rng.choice((-1, 1))
+            if v < lo:
+                v = lo
+            elif v > hi:
+                v = hi
+        out.append((v + rng.randrange(-nw, nw)) if nw else v)
+    return out
+
+
+def assert_walk_matches_loop(model, n, monkeypatch):
+    assert (samples._band_walk(model, n, pyrandom.Random(model.rng_seed))
+            == band_walk_loop(model, n, pyrandom.Random(model.rng_seed)))
+    fast = synth_trace(model, n).values
+    with monkeypatch.context() as m:
+        m.setattr(samples, "_band_walk", band_walk_loop)
+        assert np.array_equal(fast, synth_trace(model, n).values)
+
+
+README_MODELS = {
+    "band": SynthModel(kind="band", center=512, halfwidth=40, stickiness=0.7,
+                       noise_width=2, rng_seed=1),
+    "drop": SynthModel(kind="drop", center=340, halfwidth=3, transient_start=900,
+                       decay=0.999, noise_width=3, rng_seed=11),
+    "interference": SynthModel(kind="interference", center=500, halfwidth=10,
+                               stickiness=0.8, amplitude=25.0, noise_width=5, rng_seed=5),
+}
+
+
+@pytest.mark.parametrize("n", [1, 1000, 10**5])
+@pytest.mark.parametrize("kind", README_MODELS)
+def test_band_walk_matches_loop(kind, n, monkeypatch):
+    assert_walk_matches_loop(README_MODELS[kind], n, monkeypatch)
+
+
+def random_model(seed):
+    """A band model with each edge case drawn often: no stickiness or full
+    stickiness, no noise or noise as wide as the band, a zero halfwidth, and
+    bands that touch 0 or SAMPLE_MAX."""
+    r = pyrandom.Random(seed)
+    halfwidth = r.choice([0, 1, 2, 3, r.randrange(4, 100)])
+    center = r.choice([halfwidth, SAMPLE_MAX - halfwidth,
+                       r.randrange(halfwidth, SAMPLE_MAX - halfwidth + 1)])
+    return SynthModel(
+        kind=r.choice(["band", "drop", "interference"]),
+        center=center,
+        halfwidth=halfwidth,
+        stickiness=r.choice([0.0, 1.0, r.random()]),
+        noise_width=r.choice([0, halfwidth, r.randrange(halfwidth + 1)]),
+        rng_seed=r.randrange(2**32),
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_band_walk_matches_loop_on_random_models(seed, monkeypatch):
+    assert_walk_matches_loop(random_model(seed), 2000, monkeypatch)
+
+
+def test_band_walk_takes_numpy_integers(monkeypatch):
+    # randrange took any integer with __index__, numpy's included.
+    model = SynthModel(kind="band", center=np.int64(100), halfwidth=np.int64(5),
+                       noise_width=np.int64(3), stickiness=0.5, rng_seed=2)
+    assert_walk_matches_loop(model, 1000, monkeypatch)
+
+
+def test_random_models_cover_edge_cases():
+    models = [random_model(seed) for seed in range(50)]
+    assert {m.stickiness for m in models} >= {0.0, 1.0}
+    assert any(m.noise_width == 0 < m.halfwidth for m in models)
+    assert any(m.noise_width == m.halfwidth > 0 for m in models)
+    assert any(m.halfwidth == 0 for m in models)
+    assert any(m.center - m.halfwidth == 0 for m in models)
+    assert any(m.center + m.halfwidth == SAMPLE_MAX for m in models)
 
 
 class TestSynthModels:
