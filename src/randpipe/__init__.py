@@ -10,8 +10,6 @@ from .avrprng import LcgState, random, srandom, stream
 from .crack import (
     CrackConfig,
     CrackResult,
-    ProbDist,
-    build_prob_dist,
     find_seed,
     find_seed_opt,
     verify_seed,
@@ -63,10 +61,8 @@ __all__ = [
     "fips_suite",
     "format_report",
     "ints_to_bits",
-    "ProbDist",
     "CrackConfig",
     "CrackResult",
-    "build_prob_dist",
     "find_seed",
     "find_seed_opt",
     "verify_seed",

@@ -101,9 +101,8 @@ def cmd_crack(args: argparse.Namespace) -> int:
     cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
     if not seq.size:
         raise ValueError(f"{args.sequence}: no observed values")
-    dist = crack.build_prob_dist(trace)
     search = crack.find_seed_opt if args.optimized else crack.find_seed
-    result = search(seq, cfg, dist)
+    result = search(seq, cfg, trace)
     if args.stats:
         print(f"stats: total-steps={result.total_steps}")
     if result.seed is None:
@@ -143,16 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic sample trace")
     p.add_argument("--model", required=True, choices=samples.SYNTH_KINDS)
     p.add_argument("--n", required=True, type=int, help="number of samples")
-    p.add_argument("--seed", type=int, default=0, help="model RNG seed")
+    p.add_argument("--seed", type=int, default=samples.SynthModel.rng_seed,
+                   help="model RNG seed")
     p.add_argument("--out", required=True, help="output sample file")
-    p.add_argument("--center", type=int, default=512)
-    p.add_argument("--halfwidth", type=int, default=8)
-    p.add_argument("--stickiness", type=float, default=0.9)
-    p.add_argument("--transient-start", type=int, default=1000)
-    p.add_argument("--decay", type=float, default=0.999)
-    p.add_argument("--amplitude", type=float, default=8.0)
-    p.add_argument("--period", type=float, default=50.0)
-    p.add_argument("--noise-width", type=int, default=0)
+    p.add_argument("--center", type=int, default=samples.SynthModel.center)
+    p.add_argument("--halfwidth", type=int, default=samples.SynthModel.halfwidth)
+    p.add_argument("--stickiness", type=float, default=samples.SynthModel.stickiness)
+    p.add_argument("--transient-start", type=int, default=samples.SynthModel.transient_start)
+    p.add_argument("--decay", type=float, default=samples.SynthModel.decay)
+    p.add_argument("--amplitude", type=float, default=samples.SynthModel.amplitude)
+    p.add_argument("--period", type=float, default=samples.SynthModel.period)
+    p.add_argument("--noise-width", type=int, default=samples.SynthModel.noise_width)
     p.add_argument("--replay-file", help="sample file to cycle (replay model)")
     p.add_argument("--stamp", action="store_true",
                    help="include a metadata comment with a timestamp")
@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract a bit stream from a sample file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--algo", required=True, choices=extract.ALGORITHMS)
-    p.add_argument("--k", type=int, default=64, help="mean window size")
+    p.add_argument("--k", type=int, default=extract.ExtractorConfig.window_k,
+                   help="mean window size")
     p.add_argument("--no-vn", action="store_true",
                    help="skip the von Neumann corrector")
     p.add_argument("--out", required=True, help="output bit file")
@@ -188,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="observed outputs, one decimal per line")
     p.add_argument("--samples", required=True,
                    help="sample trace for the candidate frequency ranking")
-    p.add_argument("--m", type=int, default=100,
+    p.add_argument("--m", type=int, default=crack.CrackConfig.m,
                    help="step budget per candidate per visit")
-    p.add_argument("--t", type=int, default=4,
+    p.add_argument("--t", type=int, default=crack.CrackConfig.t,
                    help="weight for observed candidates (with --optimized)")
     p.add_argument("--optimized", action="store_true",
                    help="spend t times more steps on observed candidates")
-    p.add_argument("--max-steps", type=int, default=10**9)
+    p.add_argument("--max-steps", type=int, default=crack.CrackConfig.max_total_steps)
     p.add_argument("--stats", action="store_true", help="print step counters")
     p.set_defaults(func=cmd_crack)
 

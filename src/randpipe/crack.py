@@ -19,8 +19,9 @@ offsets and the quotas, at a cost that does not grow with the offset.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -35,40 +36,6 @@ GROUP_ORDER = MODULUS - 1
 _PRIME_POWERS = (2, 9, 7, 11, 31, 151, 331)    # product: GROUP_ORDER
 
 
-@dataclass(frozen=True, eq=False)
-class ProbDist:
-    """All 1024 candidate seeds, most frequently observed first.
-
-    order holds each value in [0, 1023] once, as a read-only int64 array:
-    observed values by descending frequency (ties broken by ascending
-    value), then unobserved values ascending. counts[v] is the frequency.
-    Dists compare and hash by identity, as their arrays cannot.
-    """
-
-    order: np.ndarray
-    counts: np.ndarray = field(repr=False)
-    observed_count: int
-
-    def __post_init__(self) -> None:
-        order = self.order
-        if not (isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu"
-                and np.array_equal(np.sort(order), np.arange(SEED_SPACE))):
-            raise ValueError(f"order must be a 1-D integer permutation of 0..{SEED_SPACE - 1}")
-        if np.shape(self.counts) != (SEED_SPACE,):
-            raise ValueError(f"counts must have {SEED_SPACE} entries")
-        if self.observed_count != np.count_nonzero(self.counts):
-            raise ValueError("observed_count must equal the number of nonzero counts")
-
-
-def build_prob_dist(trace: SampleTrace) -> ProbDist:
-    """Frequency-rank the 1024 possible seed values from a sample trace."""
-    counts = np.bincount(trace.values, minlength=SEED_SPACE)
-    # Stable, so ties (the unobserved values among them) stay in value order.
-    order = np.argsort(-counts, kind="stable")
-    counts.flags.writeable = order.flags.writeable = False
-    return ProbDist(order, counts, observed_count=int(np.count_nonzero(counts)))
-
-
 @dataclass(frozen=True)
 class CrackConfig:
     m: int = 100                   # step budget per candidate per visit
@@ -76,12 +43,11 @@ class CrackConfig:
     max_total_steps: int = 10**9   # hard cap on generated outputs
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if self.max_total_steps < 1:
-            raise ValueError("max_total_steps must be >= 1")
+        for name in ("m", "t", "max_total_steps"):
+            value = index(getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -99,7 +65,7 @@ class CrackResult:
 
 
 def _checked_sequence(s: Sequence[int]) -> list[int]:
-    vals = [int(v) for v in s]
+    vals = [index(v) for v in s]
     if not vals:
         raise ValueError("observed sequence must not be empty")
     for v in vals:
@@ -152,7 +118,7 @@ def _offsets(first: int) -> np.ndarray:
     return (_dlog(first) - _seed_logs() - 1) % GROUP_ORDER
 
 
-def _search(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
+def _search(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
             optimized: bool) -> CrackResult:
     """The outcome of the round-robin search, from each candidate's offset.
 
@@ -165,7 +131,11 @@ def _search(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
     """
     vals = _checked_sequence(s)
     k = len(vals)
-    order, observed = dist.order, dist.observed_count
+    counts = np.bincount(trace.values, minlength=SEED_SPACE)
+    # Candidates by descending count in the trace. Stable, so ties (the
+    # unobserved values among them) stay in value order.
+    order = np.argsort(-counts, kind="stable")
+    observed = int(np.count_nonzero(counts))
     base = cfg.m + k
     extra = (cfg.t - 1) * base if optimized else 0   # added to observed candidates' quotas
 
@@ -203,14 +173,14 @@ def _search(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
     return CrackResult(seed=None, offset=None, total_steps=total + (last_round + 1) * q)
 
 
-def find_seed(s: Sequence[int], cfg: CrackConfig, dist: ProbDist) -> CrackResult:
-    """Round-robin candidate search with equal per-visit budgets."""
-    return _search(s, cfg, dist, optimized=False)
+def find_seed(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
+    """Round-robin search over the seeds as `trace` ranks them, equal budgets per visit."""
+    return _search(s, cfg, trace, optimized=False)
 
 
-def find_seed_opt(s: Sequence[int], cfg: CrackConfig, dist: ProbDist) -> CrackResult:
-    """Weighted search: observed candidates get t times the visit budget."""
-    return _search(s, cfg, dist, optimized=True)
+def find_seed_opt(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
+    """Weighted search: candidates observed in `trace` get t times the visit budget."""
+    return _search(s, cfg, trace, optimized=True)
 
 
 def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
@@ -221,7 +191,7 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     stream is regenerated there, so a wrong logarithm can only reject,
     never accept. The stream is one cycle, so no smaller offset matches.
     """
-    if max_offset < 0:
+    if index(max_offset) < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
     x = srandom(g).x
@@ -244,7 +214,8 @@ def audit_candidate_streams(
     of the generator occurs, and in each stream exactly at the offsets
     congruent to its smallest one mod 2^31 - 2.
     """
-    tvals = [tuple(int(v) for v in t) for t in targets]
+    tvals = [tuple(map(index, t)) for t in targets]
+    horizon = index(horizon)
     if not tvals or any(len(t) < 1 for t in tvals):
         raise ValueError("targets must be non-empty windows")
     found: list[list[tuple[int, int]]] = [[] for _ in tvals]

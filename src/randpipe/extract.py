@@ -20,6 +20,7 @@ uint8 arrays of 0/1 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from os import PathLike
 from typing import Sequence
 
@@ -59,6 +60,7 @@ class ExtractorConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        object.__setattr__(self, "window_k", index(self.window_k))
         if self.window_k < 1:
             raise ValueError("window_k must be >= 1")
 

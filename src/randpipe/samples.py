@@ -96,6 +96,12 @@ class SynthModel:
     replay_values: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        # As Python ints: a float would be truncated, and a numpy integer
+        # cannot seed random.Random.
+        for name in ("center", "halfwidth", "transient_start", "noise_width", "rng_seed"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        if self.replay_values is not None:
+            object.__setattr__(self, "replay_values", tuple(map(index, self.replay_values)))
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "replay":
@@ -143,7 +149,7 @@ def _band_walk(model: SynthModel, n: int, rng: _pyrandom.Random) -> list[int]:
     # choice((-1, 1)) and randrange(-nw, nw) as CPython 3.11 draws them:
     # a draw below m is m.bit_length() bits, redrawn while >= m.
     width = 2 * nw
-    k = index(width).bit_length()       # numpy integers have no bit_length
+    k = width.bit_length()
     v = model.center
     out = []
     append = out.append

@@ -1,9 +1,9 @@
 """Slow reference implementations of randpipe.crack's ranking, search and audit.
 
 `prob_dist_sort` ranks the candidates with a Python sort, `search_loop`
-is the round-robin search that steps every candidate's stream one output
-at a time, and `audit_scan` generates all 1024 candidate streams block
-by block. They are the definitions the numpy and closed-form code in
+is the round-robin search over that ranking, stepping every candidate's
+stream one output at a time, and `audit_scan` generates all 1024
+candidate streams block by block. They are the definitions the numpy and closed-form code in
 randpipe.crack must reproduce field for field.
 
 Window slides restore generator state from the window's newest element:
@@ -11,7 +11,7 @@ for this generator the next output is a function of the previous output
 alone, so re-seeding with the last output continues the stream exactly.
 """
 
-from collections import deque
+from collections import Counter, deque
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from randpipe.crack import (
     SEED_SPACE,
     CrackConfig,
     CrackResult,
-    ProbDist,
     _checked_sequence,
 )
 from randpipe.samples import SampleTrace
@@ -31,29 +30,29 @@ from randpipe.samples import SampleTrace
 AUDIT_BLOCK = 5000
 
 
-def prob_dist_sort(trace: SampleTrace) -> ProbDist:
-    """Observed values by descending count, ties by value, then the unobserved ascending."""
-    counts = np.bincount(trace.values, minlength=SEED_SPACE)
-    observed = [int(v) for v in np.flatnonzero(counts)]
-    observed.sort(key=lambda v: (-int(counts[v]), v))
-    unobserved = [v for v in range(SEED_SPACE) if counts[v] == 0]
-    order = np.array(observed + unobserved, dtype=np.int64)
-    order.flags.writeable = False
-    return ProbDist(order=order, counts=counts, observed_count=len(observed))
+def prob_dist_sort(trace: SampleTrace) -> tuple[list[int], int]:
+    """The candidate order and the number of observed values in it.
+
+    The order is the observed values by descending count, ties by value,
+    then the unobserved values ascending.
+    """
+    counts = Counter(trace.values.tolist())
+    observed = sorted(counts, key=lambda v: (-counts[v], v))
+    unobserved = [v for v in range(SEED_SPACE) if v not in counts]
+    return observed + unobserved, len(observed)
 
 
-def search_loop(s: Sequence[int], cfg: CrackConfig, dist: ProbDist,
+def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
                 optimized: bool) -> CrackResult:
     vals = _checked_sequence(s)
     k = len(vals)
     s_dq = deque(vals)
     s_last = vals[-1]
-    order = dist.order.tolist()
+    order, observed = prob_dist_sort(trace)
     mult, mod = MULTIPLIER, MODULUS
     base = cfg.m + k
     if optimized:
-        quotas = [cfg.t * base] * dist.observed_count \
-            + [base] * (len(order) - dist.observed_count)
+        quotas = [cfg.t * base] * observed + [base] * (len(order) - observed)
     else:
         quotas = [base] * len(order)
 

@@ -16,7 +16,6 @@ from randpipe.cli import main as cli_main
 from randpipe.crack import (
     CrackConfig,
     audit_candidate_streams,
-    build_prob_dist,
     find_seed,
     find_seed_opt,
     verify_seed,
@@ -131,9 +130,8 @@ K = 100
 
 @functools.lru_cache(maxsize=1)
 def recovery_fixtures():
-    """(true_seed, d, observed window) per trial, plus the ranking dist."""
+    """(true_seed, d, observed window) per trial, plus the trace that ranks the seeds."""
     trace = synth_trace(RECOVERY_MODEL, 4000)
-    dist = build_prob_dist(trace)
     values = trace.values.tolist()
     rng = pyrandom.Random(20260806)
     fixtures = []
@@ -142,15 +140,15 @@ def recovery_fixtures():
         g = rng.choice(values)
         s = stream(g, d + K)[d:]
         fixtures.append((g, d, tuple(s)))
-    return fixtures, dist
+    return fixtures, trace
 
 
 def _run_recovery(search, cfg):
-    fixtures, dist = recovery_fixtures()
+    fixtures, trace = recovery_fixtures()
     recovered = verified = 0
     t0 = time.perf_counter()
     for g, d, s in fixtures:
-        result = search(list(s), cfg, dist)
+        result = search(list(s), cfg, trace)
         if result.seed is None:
             continue
         off = verify_seed(result.seed, list(s), result.offset)

@@ -10,7 +10,7 @@ import pytest
 
 from randpipe.avrprng import stream
 from randpipe.cli import build_parser, main
-from randpipe.crack import CrackConfig, build_prob_dist, find_seed
+from randpipe.crack import CrackConfig
 from randpipe.extract import ExtractorConfig, extract, read_bits, write_bits
 from randpipe.fips import fips_suite, format_report
 from randpipe.samples import SynthModel, load_trace, trace_stats

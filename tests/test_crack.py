@@ -8,9 +8,7 @@ from randpipe.crack import (
     GROUP_ORDER,
     SEED_SPACE,
     CrackConfig,
-    ProbDist,
     audit_candidate_streams,
-    build_prob_dist,
     find_seed,
     find_seed_opt,
     verify_seed,
@@ -24,41 +22,70 @@ def trace(vals):
     return SampleTrace(np.array(vals, dtype=np.int64))
 
 
-def assert_same_dist(got, want):
-    assert np.array_equal(got.order, want.order)
-    assert got.order.dtype == np.int64
-    assert not got.order.flags.writeable
-    assert got.observed_count == want.observed_count
-    assert np.array_equal(got.counts, want.counts)
-    assert type(got.observed_count) is int
+def search_ranks(capture, seeds, k=2):
+    """Each seed's place in the search's ranking of capture, read off a phase-1 win.
+
+    A window at offset 0 of seed v's stream (v >= 2; seeds 0 and 1 share a
+    stream) is found in phase 1 right after the windows of the rank(v)
+    candidates before v, so total_steps is (rank(v) + 1) * k.
+    """
+    ranks = []
+    for v in seeds:
+        result = find_seed(stream(v, k), CrackConfig(), capture)
+        assert (result.seed, result.offset) == (v, 0)
+        assert result.total_steps % k == 0
+        ranks.append(result.total_steps // k - 1)
+    return ranks
 
 
-class TestBuildProbDist:
+def search_observed(capture, k=2):
+    """The number of observed values, read off one optimized phase-2 round.
+
+    A window that is no arc is never found, so a budget of 1024*k steps
+    ends the search after round 0, whose quotas weigh observed candidates t times.
+    """
+    cfg = CrackConfig(m=1, t=4, max_total_steps=1024 * k)
+    total = find_seed_opt([1] * k, cfg, capture).total_steps
+    q = total - 1024 * k
+    assert q % (cfg.m + k) == 0
+    return (q // (cfg.m + k) - 1024) // (cfg.t - 1)
+
+
+def assert_ranked_as_oracle(vals, seeds=range(2, SEED_SPACE)):
+    capture = trace(vals)
+    order, observed = prob_dist_sort(capture)
+    rank = {v: i for i, v in enumerate(order)}
+    assert search_ranks(capture, seeds) == [rank[v] for v in seeds]
+    assert search_observed(capture) == observed
+
+
+class TestRanking:
+    """The search visits candidates by descending count, ties by value."""
+
     def test_frequency_then_value_order(self):
-        dist = build_prob_dist(trace([5, 5, 7]))
-        assert dist.order[:9].tolist() == [5, 7, 0, 1, 2, 3, 4, 6, 8]
-        assert dist.observed_count == 2
+        capture = trace([5, 5, 7])
+        assert search_ranks(capture, (5, 7, 2, 3, 4, 6, 8)) == [0, 1, 4, 5, 6, 7, 8]
+        assert search_observed(capture) == 2
 
     def test_empty_trace(self):
-        dist = build_prob_dist(trace([]))
-        assert dist.order.tolist() == list(range(1024))
-        assert dist.observed_count == 0
+        capture = trace([])
+        assert search_ranks(capture, range(2, SEED_SPACE)) == list(range(2, SEED_SPACE))
+        assert search_observed(capture) == 0
 
     def test_all_values_equal_frequency(self):
-        dist = build_prob_dist(trace(list(range(1024))))
-        assert dist.order.tolist() == list(range(1024))
-        assert dist.observed_count == 1024
+        capture = trace(list(range(SEED_SPACE)))
+        assert search_ranks(capture, range(2, SEED_SPACE)) == list(range(2, SEED_SPACE))
+        assert search_observed(capture) == SEED_SPACE
 
     def test_order_is_permutation(self):
         rng = pyrandom.Random(71)
         vals = [rng.randrange(1024) for _ in range(5000)]
-        dist = build_prob_dist(trace(vals))
-        assert sorted(dist.order) == list(range(1024))
-        counts = dist.counts
-        freqs = [int(counts[v]) for v in dist.order[: dist.observed_count]]
-        assert freqs == sorted(freqs, reverse=True)
-        assert all(f > 0 for f in freqs)
-        assert all(counts[v] == 0 for v in dist.order[dist.observed_count:])
+        seeds = range(2, SEED_SPACE)
+        ranks = search_ranks(trace(vals), seeds)
+        assert len(set(ranks)) == len(ranks)
+        counts = np.bincount(vals, minlength=SEED_SPACE)
+        by_rank = [int(counts[v]) for _, v in sorted(zip(ranks, seeds))]
+        assert by_rank == sorted(by_rank, reverse=True)
 
     @pytest.mark.parametrize("vals", [
         [3, 3, 1, 1, 2, 2, 900, 900, 0],
@@ -68,39 +95,19 @@ class TestBuildProbDist:
         list(range(SEED_SPACE)) * 2 + [5, 1023, 1023, 0],
     ], ids=["ties", "single-value", "empty", "all-values", "all-values-ties"])
     def test_matches_sort_oracle(self, vals):
-        assert_same_dist(build_prob_dist(trace(vals)), prob_dist_sort(trace(vals)))
+        assert_ranked_as_oracle(vals)
 
     def test_seeded_traces_match_sort_oracle(self):
         # 0 to 4000 samples over bands of 1 to 1024 values: most have tied counts.
+        # Each trace checks 16 of its own values and 16 drawn from all seeds.
         for seed in range(50):
             rng = np.random.default_rng(seed)
             width = int(rng.integers(1, SEED_SPACE + 1))
             lo = int(rng.integers(0, SEED_SPACE - width + 1))
             vals = rng.integers(lo, lo + width, int(rng.integers(0, 4001))).tolist()
-            assert_same_dist(build_prob_dist(trace(vals)), prob_dist_sort(trace(vals)))
-
-
-class TestProbDistFields:
-    COUNTS = np.bincount([5, 5, 7], minlength=SEED_SPACE)
-    ORDER = build_prob_dist(trace([5, 5, 7])).order
-
-    @pytest.mark.parametrize("field, order, counts, observed", [
-        ("order", tuple(range(SEED_SPACE)), COUNTS, 2),
-        ("order", np.arange(5), COUNTS, 2),
-        ("order", np.r_[0, 0, np.arange(2, SEED_SPACE)], COUNTS, 2),
-        ("order", np.arange(SEED_SPACE, dtype=float), COUNTS, 2),
-        ("order", np.arange(SEED_SPACE).reshape(32, 32), COUNTS, 2),
-        ("counts", ORDER, COUNTS[:5], 2),
-        ("observed_count", ORDER, COUNTS, 3),
-    ], ids=["tuple", "short", "duplicate", "float", "2-d", "short-counts", "wrong-count"])
-    def test_bad_field_is_named(self, field, order, counts, observed):
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            ProbDist(order=order, counts=counts, observed_count=observed)
-
-    def test_compare_and_hash_by_identity(self):
-        a, b = build_prob_dist(trace([5, 5, 7])), build_prob_dist(trace([5, 5, 7]))
-        assert a == a and a != b
-        assert len({a, b, a}) == 2
+            drawn = rng.choice(np.arange(2, SEED_SPACE), 16, replace=False).tolist()
+            seeds = sorted(set(vals[:16] + drawn) - {0, 1})
+            assert_ranked_as_oracle(vals, seeds)
 
 
 class TestConfig:
@@ -110,94 +117,139 @@ class TestConfig:
         with pytest.raises(ValueError):
             CrackConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(m=1.5), dict(t=4.0), dict(max_total_steps=1e9)],
+                             ids=["m", "t", "max_total_steps"])
+    def test_rejects_non_integers(self, kwargs):
+        with pytest.raises(TypeError):
+            CrackConfig(**kwargs)
 
-def band_dist(center=338):
+    def test_numpy_integers_become_ints(self):
+        cfg = CrackConfig(m=np.int64(5), t=np.uint8(2), max_total_steps=np.int32(10**6))
+        assert (cfg.m, cfg.t, cfg.max_total_steps) == (5, 2, 10**6)
+        assert {type(v) for v in (cfg.m, cfg.t, cfg.max_total_steps)} == {int}
+
+
+def band_trace(center=338):
+    """Ranks center first, then center - 3, center - 1 and center + 2."""
     vals = [center - 3, center - 1, center, center, center, center + 2]
-    return build_prob_dist(trace(vals * 50))
+    return trace(vals * 50)
+
+
+class TestNonIntegerInputs:
+    """Sequence values and offsets are integers as given, never truncated or parsed."""
+
+    WINDOW = stream(338, 5)
+    BAD = {"float": [v + 0.7 for v in WINDOW], "str": [str(v) for v in WINDOW]}
+
+    @pytest.mark.parametrize("search", [find_seed, find_seed_opt])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_search_rejects(self, search, bad):
+        with pytest.raises(TypeError):
+            search(self.BAD[bad], CrackConfig(), band_trace())
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_verify_and_audit_reject(self, bad):
+        with pytest.raises(TypeError):
+            verify_seed(338, self.BAD[bad], 0)
+        with pytest.raises(TypeError):
+            audit_candidate_streams([self.BAD[bad]], horizon=10)
+
+    def test_fractional_max_offset_and_horizon_rejected(self):
+        with pytest.raises(TypeError):
+            verify_seed(338, self.WINDOW, 0.5)
+        with pytest.raises(TypeError):
+            audit_candidate_streams([self.WINDOW], horizon=2.5)
+        with pytest.raises(TypeError):
+            audit_candidate_streams([[1, 1]], horizon=10.0)     # not an arc: horizon unused
+
+    def test_numpy_integers_accepted(self):
+        window = np.array(self.WINDOW)
+        assert find_seed(window, CrackConfig(), band_trace()).seed == 338
+        assert verify_seed(338, window, np.int64(0)) == 0
+        assert (338, 0) in audit_candidate_streams([window], horizon=10)[0]
 
 
 class TestFindSeed:
     def test_phase1_direct_match(self):
         s = stream(881, 100)
-        result = find_seed(s, CrackConfig(m=100), build_prob_dist(trace([881])))
+        result = find_seed(s, CrackConfig(m=100), trace([881]))
         assert result.seed == 881
         assert result.offset == 0
 
     def test_offset_three(self):
         s = stream(777, 103)[3:]
-        result = find_seed(s, CrackConfig(m=100), build_prob_dist(trace([777])))
+        result = find_seed(s, CrackConfig(m=100), trace([777]))
         assert result.seed == 777
         assert result.offset == 3
         assert verify_seed(result.seed, s, 10) == 3
 
     def test_budget_exhaustion(self):
-        result = find_seed([1], CrackConfig(m=100, max_total_steps=1024),
-                           build_prob_dist(trace([])))
+        result = find_seed([1], CrackConfig(m=100, max_total_steps=1024), trace([]))
         assert result.seed is None and result.offset is None
         assert result.total_steps > 1024
 
     def test_unobserved_seed_still_found(self):
         # 700 never appears in the sample trace, so it ranks in the
         # unobserved tail; completeness over all 1024 candidates finds it.
-        dist = band_dist()
-        assert 700 not in dist.order[: dist.observed_count]
+        capture = band_trace()
+        assert 700 not in capture.values
         s = stream(700, 105)[5:]
-        result = find_seed(s, CrackConfig(m=100), dist)
+        result = find_seed(s, CrackConfig(m=100), capture)
         assert result.seed == 700
         assert result.offset == 5
 
     def test_soundness_random_trials(self):
         rng = pyrandom.Random(73)
-        dist = band_dist()
+        capture = band_trace()
         for _ in range(10):
             d = rng.randint(1, 400)
-            g = rng.choice(dist.order[:4])
+            g = rng.choice((338, 335, 337, 340))
             s = stream(g, d + 60)[d:]
-            result = find_seed(s, CrackConfig(m=50), dist)
+            result = find_seed(s, CrackConfig(m=50), capture)
             assert result.seed is not None
             assert verify_seed(result.seed, s, result.offset) == result.offset
 
     def test_determinism(self):
-        dist = band_dist()
+        capture = band_trace()
         s = stream(338, 350)[250:]
-        a = find_seed(s, CrackConfig(m=50), dist)
-        b = find_seed(s, CrackConfig(m=50), dist)
+        a = find_seed(s, CrackConfig(m=50), capture)
+        b = find_seed(s, CrackConfig(m=50), capture)
         assert (a.seed, a.offset, a.total_steps) == (b.seed, b.offset, b.total_steps)
 
     def test_rejects_invalid_sequence_values(self):
-        dist = build_prob_dist(trace([]))
+        capture = trace([])
         with pytest.raises(ValueError):
-            find_seed([0], CrackConfig(), dist)
+            find_seed([0], CrackConfig(), capture)
         with pytest.raises(ValueError):
-            find_seed([MODULUS], CrackConfig(), dist)
+            find_seed([MODULUS], CrackConfig(), capture)
         with pytest.raises(ValueError):
-            find_seed([], CrackConfig(), dist)
+            find_seed([], CrackConfig(), capture)
 
 
 class TestFindSeedOpt:
     def test_t1_schedule_identical_to_plain(self):
-        dist = band_dist()
+        capture = band_trace()
         s = stream(335, 400)[300:]   # forces phase 2
-        plain = find_seed(s, CrackConfig(m=50, t=4), dist)
-        opt = find_seed_opt(s, CrackConfig(m=50, t=1), dist)
+        plain = find_seed(s, CrackConfig(m=50, t=4), capture)
+        opt = find_seed_opt(s, CrackConfig(m=50, t=1), capture)
         assert plain.seed == opt.seed
         assert plain.offset == opt.offset
         assert plain.total_steps == opt.total_steps
 
     def test_observed_seed_needs_no_more_slides(self):
-        dist = band_dist()
-        g = dist.order[2]
+        capture = band_trace()
+        g = 337
         s = stream(g, 700)[600:]
-        plain = find_seed(s, CrackConfig(m=50), dist)
-        opt = find_seed_opt(s, CrackConfig(m=50, t=4), dist)
+        plain = find_seed(s, CrackConfig(m=50), capture)
+        opt = find_seed_opt(s, CrackConfig(m=50, t=4), capture)
         assert plain.seed == g and opt.seed == g
         assert opt.offset == plain.offset
         assert opt.total_steps <= plain.total_steps
 
     def test_unobserved_seed_completeness(self):
-        dist = band_dist()
+        capture = band_trace()
         s = stream(901, 104)[4:]
-        result = find_seed_opt(s, CrackConfig(m=100, t=4), dist)
+        result = find_seed_opt(s, CrackConfig(m=100, t=4), capture)
         assert result.seed == 901
         assert result.offset == 4
 
@@ -218,7 +270,7 @@ class TestResultTypes:
         (stream(700, 300)[295:-1] + [1], 10**9, None),    # not an arc
     ], ids=["phase-1", "phase-2", "budget-phase-1", "budget-phase-2", "non-arc"])
     def test_python_ints(self, search, window, budget, offset):
-        result = search(window, CrackConfig(m=1, max_total_steps=budget), band_dist(881))
+        result = search(window, CrackConfig(m=1, max_total_steps=budget), band_trace(881))
         assert result.offset == offset
         if offset is None:
             assert result_types(result) == (type(None), type(None), int)
@@ -233,19 +285,18 @@ class TestHugeQuotas:
     def test_winner_and_budget(self, optimized):
         # A quota of at least 2^31 - 2 covers a whole stream, so the first
         # candidate wins in its first visit, wherever its window lies.
-        dist = band_dist()
+        capture = band_trace()
         k, weight = 3, 4 if optimized else 1
         cfg = CrackConfig(m=2**62, t=4, max_total_steps=1024 * k)
         search = find_seed_opt if optimized else find_seed
         s = stream(700, 5 + k)[5:]
-        result = search(s, cfg, dist)
-        assert result.seed == dist.order[0]
+        result = search(s, cfg, capture)
+        assert result.seed == 338
         assert verify_seed(result.seed, s, result.offset) == result.offset
         assert result.total_steps == 1024 * k + result.offset
-        result = search(broken(s, pyrandom.Random(3)), cfg, dist)
+        result = search(broken(s, pyrandom.Random(3)), cfg, capture)
         assert result.seed is None
-        assert result.total_steps == 1024 * k + (cfg.m + k) * (
-            weight * dist.observed_count + 1024 - dist.observed_count)
+        assert result.total_steps == 1024 * k + (cfg.m + k) * (weight * 4 + 1024 - 4)
 
 
 class TestVerifySeed:
@@ -316,15 +367,16 @@ def fields(result):
     return (result.seed, result.offset, result.total_steps)
 
 
-def assert_matches_loop(s, cfg, dist, optimized):
+def assert_matches_loop(s, cfg, capture, optimized):
     search = find_seed_opt if optimized else find_seed
-    assert fields(search(s, cfg, dist)) == fields(search_loop(s, cfg, dist, optimized))
+    assert fields(search(s, cfg, capture)) == fields(search_loop(s, cfg, capture, optimized))
 
 
-def round_steps(k, cfg, dist, optimized):
+def round_steps(k, cfg, capture, optimized):
     """Q: the steps of one phase-2 round, the sum of the quotas."""
     weight = cfg.t if optimized else 1
-    return (cfg.m + k) * (weight * dist.observed_count + 1024 - dist.observed_count)
+    observed = len(set(capture.values.tolist()))
+    return (cfg.m + k) * (weight * observed + 1024 - observed)
 
 
 def broken(window, rng):
@@ -340,67 +392,66 @@ class TestClosedFormAgainstLoop:
 
     def test_random_instances(self):
         rng = pyrandom.Random(83)
-        dists = [band_dist(), build_prob_dist(trace([])),
-                 build_prob_dist(trace([1, 1, 0, 700]))]
+        captures = [band_trace(), trace([]), trace([1, 1, 0, 700])]
         for _ in range(40):
-            dist = rng.choice(dists)
+            capture = rng.choice(captures)
             k = rng.choice((1, 3, 100))
             g = rng.choice((0, 1, 335, 338, 700, 901, rng.randrange(1024)))
             d = rng.choice((0, rng.randint(1, 300)))
             cfg = CrackConfig(m=rng.choice((1, 10, 100)), t=rng.choice((1, 4)))
             s = stream(g, d + k)[d:]
-            assert_matches_loop(s, cfg, dist, optimized=rng.random() < 0.5)
+            assert_matches_loop(s, cfg, capture, optimized=rng.random() < 0.5)
 
     @pytest.mark.parametrize("observed", [[0, 0, 1], [1, 1, 0]])
     def test_seeds_zero_and_one_share_a_stream(self, observed):
         # srandom maps seed 0 to state 1, so the first of 0 and 1 in the
         # ranking wins, with the same offset either way.
-        dist = build_prob_dist(trace(observed))
+        capture = trace(observed)
         for d in (0, 5, 250):
             s = stream(1, d + 3)[d:]
             for optimized in (False, True):
-                assert_matches_loop(s, CrackConfig(m=1, t=4), dist, optimized)
-                assert find_seed(s, CrackConfig(m=1), dist).seed == observed[0]
+                assert_matches_loop(s, CrackConfig(m=1, t=4), capture, optimized)
+                assert find_seed(s, CrackConfig(m=1), capture).seed == observed[0]
 
     @pytest.mark.parametrize("optimized", [False, True])
     def test_match_at_last_slide_of_a_visit(self, optimized):
         # An offset that is a multiple of the quota matches on the visit's
         # last slide, one round earlier than the offset after it.
-        dist = band_dist()
+        capture = band_trace()
         for k in (1, 3):
             cfg = CrackConfig(m=5, t=4)
             for g, weight in ((338, cfg.t if optimized else 1), (700, 1)):
                 quota = weight * (cfg.m + k)
                 for d in (quota, 2 * quota, 2 * quota + 1):
-                    assert_matches_loop(stream(g, d + k)[d:], cfg, dist, optimized)
+                    assert_matches_loop(stream(g, d + k)[d:], cfg, capture, optimized)
 
     @pytest.mark.parametrize("k", [1, 3, 100])
     @pytest.mark.parametrize("optimized", [False, True])
     def test_budgets_at_round_boundaries(self, k, optimized):
         # The budget is checked after phase 1 (T1 = 1024*k steps) and after
         # each round of Q steps; the window sits in round 2 of seed 700.
-        dist = band_dist()
+        capture = band_trace()
         cfg = CrackConfig(m=5, t=4)
-        q = round_steps(k, cfg, dist, optimized)
+        q = round_steps(k, cfg, capture, optimized)
         t1 = 1024 * k
         s = stream(700, 2 * (cfg.m + k) + 2 + k)[2 * (cfg.m + k) + 2:]
         for budget in (t1 - 1, t1, t1 + 1, *(t1 + r * q + e for r in (1, 2, 3)
                                              for e in (-1, 0, 1))):
             cfg = CrackConfig(m=5, t=4, max_total_steps=budget)
-            assert_matches_loop(s, cfg, dist, optimized)
+            assert_matches_loop(s, cfg, capture, optimized)
 
     def test_inconsistent_windows_under_small_budgets(self):
         rng = pyrandom.Random(89)
-        dist = band_dist()
+        capture = band_trace()
         for k in (2, 3, 100):
             window = broken(stream(rng.randrange(1024), k + 7)[7:], rng)
             for optimized in (False, True):
                 cfg = CrackConfig(m=1, t=4)
-                q = round_steps(k, cfg, dist, optimized)
+                q = round_steps(k, cfg, capture, optimized)
                 for budget in (1, 1024 * k, 1024 * k + 1, 1024 * k + 3 * q + 1):
                     cfg = CrackConfig(m=1, t=4, max_total_steps=budget)
-                    assert_matches_loop(window, cfg, dist, optimized)
-                    assert find_seed(window, cfg, dist).seed is None
+                    assert_matches_loop(window, cfg, capture, optimized)
+                    assert find_seed(window, cfg, capture).seed is None
 
 
 class TestAuditAgainstScan:

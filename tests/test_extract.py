@@ -226,6 +226,12 @@ class TestExtract:
         with pytest.raises(ValueError):
             ExtractorConfig("parity")
 
+    def test_window_k_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            ExtractorConfig("mean", window_k=2.5)
+        cfg = ExtractorConfig("mean", window_k=np.int64(2))
+        assert cfg.window_k == 2 and type(cfg.window_k) is int
+
 
 class TestYieldRatio:
     def test_leastsign_raw_is_one(self):

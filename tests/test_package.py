@@ -1,4 +1,11 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import randpipe
+
+MODULES = sorted(Path(randpipe.__file__).parent.glob("*.py"))
 
 
 def test_exported_names_resolve():
@@ -12,3 +19,35 @@ def test_star_import_binds_exactly_all():
     exec("from randpipe import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(randpipe.__all__)
+
+
+def unused_imports(source):
+    """Names a module imports and never reads; a string in __all__ counts as a read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_each_form():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\n"
+              "from dataclasses import dataclass, field\nfrom . import crack as c\n"
+              "__all__ = ['dataclass']\nnp.zeros(1)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "field"), (5, "c")]

@@ -346,7 +346,7 @@ def test_band_walk_matches_loop_on_random_models(seed, monkeypatch):
 
 
 def test_band_walk_takes_numpy_integers(monkeypatch):
-    # randrange took any integer with __index__, numpy's included.
+    # numpy integer fields work, as they did when the walk called randrange.
     model = SynthModel(kind="band", center=np.int64(100), halfwidth=np.int64(5),
                        noise_width=np.int64(3), stickiness=0.5, rng_seed=2)
     assert_walk_matches_loop(model, 1000, monkeypatch)
@@ -449,6 +449,26 @@ class TestSynthModels:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             SynthModel(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="band", rng_seed=None),        # would seed from the OS
+        dict(kind="band", center=512.5),
+        dict(kind="band", halfwidth=8.0),
+        dict(kind="band", halfwidth=8, noise_width=1.5),
+        dict(kind="drop", transient_start=700.7),
+        dict(kind="replay", replay_values=(1.5, 2.9)),
+    ], ids=["rng_seed", "center", "halfwidth", "noise_width", "transient_start", "replay"])
+    def test_integer_fields_reject_non_integers(self, kwargs):
+        with pytest.raises(TypeError):
+            SynthModel(**kwargs)
+
+    def test_numpy_integer_fields_become_ints(self):
+        m = SynthModel(kind="band", center=np.int16(500), rng_seed=np.int64(2))
+        assert (type(m.center), type(m.rng_seed)) == (int, int)
+        same = SynthModel(kind="band", center=500, rng_seed=2)
+        assert np.array_equal(synth_trace(m, 100).values, synth_trace(same, 100).values)
+        m = SynthModel(kind="replay", replay_values=tuple(np.array([9, 8])))
+        assert m.replay_values == (9, 8) and {type(v) for v in m.replay_values} == {int}
 
 
 class TestTraceStats:
