@@ -23,7 +23,6 @@ from .extract import (
     raw_twoleastsign,
     raw_updown,
     von_neumann,
-    yield_ratio,
 )
 from .fips import TestReport, fips_suite, format_report, ints_to_bits
 from .samples import (
@@ -56,7 +55,6 @@ __all__ = [
     "raw_twoleastsign",
     "raw_updown",
     "raw_mean",
-    "yield_ratio",
     "TestReport",
     "fips_suite",
     "format_report",

@@ -19,6 +19,14 @@ MODULUS = 2**31 - 1        # 2147483647, prime
 MULTIPLIER = 7**5          # 16807, a primitive root mod MODULUS
 
 
+def _as_int(value: object) -> int:
+    """value as a Python int; the package's one integer rule. A bool raises TypeError,
+    as does anything operator.index refuses: a float, a string, None, numpy's bool."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class LcgState:
     """Generator state; x is confined to [1, MODULUS - 1]."""
@@ -26,7 +34,7 @@ class LcgState:
     x: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", operator.index(self.x))
+        object.__setattr__(self, "x", _as_int(self.x))
         if not 1 <= self.x <= MODULUS - 1:
             raise ValueError(f"LCG state {self.x} outside [1, {MODULUS - 1}]")
 
@@ -40,7 +48,7 @@ def srandom(seed: int) -> LcgState:
     be 0. The same mapping is applied on the attack side, so searches
     stay consistent with generation.
     """
-    seed = operator.index(seed)
+    seed = _as_int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     x = seed % MODULUS
@@ -58,6 +66,7 @@ def random(state: LcgState) -> tuple[int, LcgState]:
 
 def stream(seed: int, count: int) -> list[int]:
     """The first `count` outputs after seeding with `seed`."""
+    count = _as_int(count)
     if count < 0:
         raise ValueError("count must be non-negative")
     x = srandom(seed).x

@@ -21,12 +21,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import isqrt
-from operator import index
 from typing import Sequence
 
 import numpy as np
 
-from .avrprng import MODULUS, MULTIPLIER, srandom, stream
+from .avrprng import MODULUS, MULTIPLIER, _as_int, srandom, stream
 from .samples import SampleTrace
 
 SEED_SPACE = 1024
@@ -44,7 +43,7 @@ class CrackConfig:
 
     def __post_init__(self) -> None:
         for name in ("m", "t", "max_total_steps"):
-            value = index(getattr(self, name))
+            value = _as_int(getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
             object.__setattr__(self, name, value)
@@ -65,7 +64,7 @@ class CrackResult:
 
 
 def _checked_sequence(s: Sequence[int]) -> list[int]:
-    vals = [index(v) for v in s]
+    vals = [_as_int(v) for v in s]
     if not vals:
         raise ValueError("observed sequence must not be empty")
     for v in vals:
@@ -191,7 +190,7 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     stream is regenerated there, so a wrong logarithm can only reject,
     never accept. The stream is one cycle, so no smaller offset matches.
     """
-    if index(max_offset) < 0:
+    if _as_int(max_offset) < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
     x = srandom(g).x
@@ -214,8 +213,8 @@ def audit_candidate_streams(
     of the generator occurs, and in each stream exactly at the offsets
     congruent to its smallest one mod 2^31 - 2.
     """
-    tvals = [tuple(map(index, t)) for t in targets]
-    horizon = index(horizon)
+    tvals = [tuple(map(_as_int, t)) for t in targets]
+    horizon = _as_int(horizon)
     if not tvals or any(len(t) < 1 for t in tvals):
         raise ValueError("targets must be non-empty windows")
     found: list[list[tuple[int, int]]] = [[] for _ in tvals]

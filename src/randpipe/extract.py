@@ -20,12 +20,12 @@ uint8 arrays of 0/1 values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from os import PathLike
 from typing import Sequence
 
 import numpy as np
 
+from .avrprng import _as_int
 from .samples import SampleTrace, _read_input, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
@@ -60,7 +60,7 @@ class ExtractorConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        object.__setattr__(self, "window_k", index(self.window_k))
+        object.__setattr__(self, "window_k", _as_int(self.window_k))
         if self.window_k < 1:
             raise ValueError("window_k must be >= 1")
 
@@ -106,6 +106,7 @@ def raw_mean(trace: SampleTrace, k: int) -> np.ndarray:
     cumulative sums, so the ceiling threshold is never subject to float
     rounding.
     """
+    k = _as_int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(trace) < k + 2:
@@ -140,13 +141,6 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
     else:
         raw = raw_twoleastsign(trace)
     return von_neumann(raw) if cfg.apply_vn else raw
-
-
-def yield_ratio(trace: SampleTrace, cfg: ExtractorConfig) -> float:
-    """Output bits per input sample; times the sample rate gives bits/s."""
-    if len(trace) == 0:
-        raise InsufficientSamplesError("empty trace")
-    return extract(trace, cfg).size / len(trace)
 
 
 def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:

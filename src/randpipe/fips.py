@@ -91,19 +91,6 @@ class LongRunsResult(NamedTuple):
     passed: bool
 
 
-def run_lengths(bits: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enumerate maximal runs of any bit sequence.
-
-    Returns (lengths, symbols) in order of occurrence; a run is a
-    maximal subsequence of identical symbols.
-    """
-    arr = as_bit_array(bits)
-    if arr.size == 0:
-        return np.array([], dtype=np.int64), np.array([], dtype=np.uint8)
-    bounds = np.concatenate(([0], np.flatnonzero(arr[1:] != arr[:-1]) + 1, [arr.size]))
-    return np.diff(bounds), arr[bounds[:-1]]
-
-
 def expected_run_count(n: int, i: int) -> float:
     """Expected number of blocks (or gaps) of length i in n random bits."""
     return (n - i + 3) / 2 ** (i + 2)
@@ -145,10 +132,12 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     counts = np.bincount(vals, minlength=2**POKER_M)
     x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
 
-    lengths, symbols = run_lengths(bits)
-    trunc = np.minimum(lengths, 6)
-    blocks = np.bincount(trunc[symbols == 1], minlength=7)[1:7].tolist()
-    gaps = np.bincount(trunc[symbols == 0], minlength=7)[1:7].tolist()
+    # A run starts at bit 0 and after every change; it ends where the next starts.
+    bounds = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [REQUIRED_LENGTH]))
+    lengths = np.diff(bounds)
+    # Gaps (runs of 0) by length in [1:7], blocks (runs of 1) in [8:14].
+    by_kind = np.bincount(np.minimum(lengths, 6) + 7 * bits[bounds[:-1]], minlength=14)
+    gaps, blocks = by_kind[1:7].tolist(), by_kind[8:14].tolist()
     runs_passed = all(lo <= b <= hi and lo <= g <= hi
                       for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
     x4 = 0.0

@@ -14,10 +14,11 @@ import io
 import random as _pyrandom
 from dataclasses import dataclass, field
 from math import isfinite, pi, sin
-from operator import index
 from os import PathLike
 
 import numpy as np
+
+from .avrprng import _as_int
 
 SAMPLE_MAX = 1023
 _SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
@@ -99,9 +100,9 @@ class SynthModel:
         # As Python ints: a float would be truncated, and a numpy integer
         # cannot seed random.Random.
         for name in ("center", "halfwidth", "transient_start", "noise_width", "rng_seed"):
-            object.__setattr__(self, name, index(getattr(self, name)))
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
         if self.replay_values is not None:
-            object.__setattr__(self, "replay_values", tuple(map(index, self.replay_values)))
+            object.__setattr__(self, "replay_values", tuple(map(_as_int, self.replay_values)))
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "replay":
@@ -173,6 +174,7 @@ def _band_walk(model: SynthModel, n: int, rng: _pyrandom.Random) -> list[int]:
 
 def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     """Generate an n-sample trace; a pure function of (model, n)."""
+    n = _as_int(n)
     if n <= 0:
         raise ValueError("n must be positive")
     rng = _pyrandom.Random(model.rng_seed)
@@ -230,10 +232,10 @@ def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     buf = np.frombuffer(data, dtype=np.uint8)
     # Per-line arrays are the big temporaries, so they are small and freed
     # early: np.diff's copies would add 5 MB to a 10^6-line load's peak RSS.
-    index = np.int32 if buf.size < 2**31 else np.int64
-    ends = np.flatnonzero(buf == ord("\n")).astype(index)
+    pos = np.int32 if buf.size < 2**31 else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(pos)
     if data and data[-1] != ord("\n"):
-        ends = np.append(ends, index(buf.size))
+        ends = np.append(ends, pos(buf.size))
     lengths = np.empty_like(ends)
     lengths[:1] = ends[:1]
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])

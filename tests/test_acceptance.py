@@ -9,7 +9,6 @@ import random as pyrandom
 import time
 
 import numpy as np
-import pytest
 
 from randpipe.avrprng import stream
 from randpipe.cli import main as cli_main
@@ -22,7 +21,7 @@ from randpipe.crack import (
 )
 from randpipe.extract import raw_twoleastsign, von_neumann
 from randpipe.fips import fips_suite, ints_to_bits
-from randpipe.samples import SynthModel, save_trace, synth_trace
+from randpipe.samples import SynthModel, synth_trace
 
 from test_fips import crypto_bits, naive_scan, naive_x3, naive_x4
 

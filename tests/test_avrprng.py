@@ -58,16 +58,26 @@ def test_state_bounds_enforced():
         LcgState(2**31 - 1)
 
 
+# Values every integer input of the package must refuse with TypeError: a
+# float, integral or not; a bool, which operator.index alone takes as 0 or 1;
+# numpy's bool; a numeric string; None (which random.Random would seed from the OS).
+NON_INTEGERS = (2.5, 4.0, True, False, np.True_, "3", None)
+
+
 def test_non_integer_state_rejected():
-    with pytest.raises(TypeError):
-        LcgState(1.5)
-    with pytest.raises(TypeError):
-        srandom(1.5)
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError):
+            LcgState(bad)
+        with pytest.raises(TypeError):
+            srandom(bad)
+        with pytest.raises(TypeError):
+            stream(1, bad)
     with pytest.raises(TypeError):
         stream(2.0, 1)
     with pytest.raises(TypeError):
         stream(0.0, 1)      # a zero residue must not map to the seed-1 stream
-    assert stream(np.int64(5), 2) == stream(5, 2)
+    assert stream(np.int64(5), np.int64(2)) == stream(5, 2)
+    assert type(LcgState(np.int64(5)).x) is int
 
 
 def test_stream_empty():

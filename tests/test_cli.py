@@ -11,9 +11,8 @@ import pytest
 from randpipe.avrprng import stream
 from randpipe.cli import build_parser, main
 from randpipe.crack import CrackConfig
-from randpipe.extract import ExtractorConfig, extract, read_bits, write_bits
-from randpipe.fips import fips_suite, format_report
-from randpipe.samples import SynthModel, load_trace, trace_stats
+from randpipe.extract import ExtractorConfig, read_bits
+from randpipe.samples import SynthModel, load_trace
 
 from test_fips import crypto_bits
 
@@ -501,6 +500,7 @@ def readme_files(tmp_path_factory):
                "--stickiness", "0.7", "--noise-width", "2", "--n", "20000",
                "--seed", "1", "--out", str(d / "wide.txt")) == 0
     write_lines(d / "observed.txt", stream(338, 140)[40:])
+    write_lines(d / "constant.txt", [500] * 20000)
     return d
 
 
@@ -525,7 +525,12 @@ GOLDEN_EXTRACT = {
              "9ce3a6bb14d1ed5c4842f2d09feb4fc1565e7b061ef189b51053bfe6f486f952"),
     "no-vn": (["--algo", "mean", "--no-vn"], "9968\nyield-ratio: 0.498400\n",
               "58c90478fe1b083db9ff8d72658461a0ba8059fd9be71c88f941ff2a8fe71227"),
+    # A constant trace has no pair of unequal bits for the corrector to keep.
+    "constant": (["--algo", "leastsign"], "0\nyield-ratio: 0.000000\n",
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
+# Every extract table entry reads wide.txt unless named here.
+GOLDEN_EXTRACT_INPUT = {"constant": "constant.txt"}
 
 GOLDEN_CRACK = {
     "plain": ([], (0, "stats: total-steps=102840\nseed=338 offset=40\n", "")),
@@ -539,7 +544,8 @@ GOLDEN_CRACK = {
 def assert_golden_extract(files, capsys, tmp_path, name):
     flags, stdout, digest = GOLDEN_EXTRACT[name]
     bits = tmp_path / "b.txt"
-    rc = run("extract", "--in", str(files / "wide.txt"), *flags, "--out", str(bits))
+    infile = files / GOLDEN_EXTRACT_INPUT.get(name, "wide.txt")
+    rc = run("extract", "--in", str(infile), *flags, "--out", str(bits))
     assert captured(capsys, rc) == (0, "samples-in: 20000\nbits-out: " + stdout, "")
     assert hashlib.sha256(bits.read_bytes()).hexdigest() == digest
 

@@ -16,6 +16,7 @@ from randpipe.crack import (
 from randpipe.samples import SampleTrace
 
 from crack_oracle import audit_scan, prob_dist_sort, search_loop, verify_scan
+from test_avrprng import NON_INTEGERS
 
 
 def trace(vals):
@@ -117,11 +118,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             CrackConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(m=1.5), dict(t=4.0), dict(max_total_steps=1e9)],
-                             ids=["m", "t", "max_total_steps"])
-    def test_rejects_non_integers(self, kwargs):
-        with pytest.raises(TypeError):
-            CrackConfig(**kwargs)
+    @pytest.mark.parametrize("name", ["m", "t", "max_total_steps"])
+    def test_rejects_non_integers(self, name):
+        for bad in NON_INTEGERS:
+            with pytest.raises(TypeError):
+                CrackConfig(**{name: bad})
 
     def test_numpy_integers_become_ints(self):
         cfg = CrackConfig(m=np.int64(5), t=np.uint8(2), max_total_steps=np.int32(10**6))
@@ -139,7 +140,9 @@ class TestNonIntegerInputs:
     """Sequence values and offsets are integers as given, never truncated or parsed."""
 
     WINDOW = stream(338, 5)
-    BAD = {"float": [v + 0.7 for v in WINDOW], "str": [str(v) for v in WINDOW]}
+    BAD = {"float": [v + 0.7 for v in WINDOW], "str": [str(v) for v in WINDOW],
+           "True": [True] * 5, "False": [False] * 5, "np.True_": [np.True_] * 5,
+           "None": [None] * 5}
 
     @pytest.mark.parametrize("search", [find_seed, find_seed_opt])
     @pytest.mark.parametrize("bad", BAD)
@@ -155,12 +158,13 @@ class TestNonIntegerInputs:
             audit_candidate_streams([self.BAD[bad]], horizon=10)
 
     def test_fractional_max_offset_and_horizon_rejected(self):
-        with pytest.raises(TypeError):
-            verify_seed(338, self.WINDOW, 0.5)
-        with pytest.raises(TypeError):
-            audit_candidate_streams([self.WINDOW], horizon=2.5)
-        with pytest.raises(TypeError):
-            audit_candidate_streams([[1, 1]], horizon=10.0)     # not an arc: horizon unused
+        for bad in NON_INTEGERS:
+            with pytest.raises(TypeError):
+                verify_seed(338, self.WINDOW, bad)
+            with pytest.raises(TypeError):
+                audit_candidate_streams([self.WINDOW], horizon=bad)
+            with pytest.raises(TypeError):
+                audit_candidate_streams([[1, 1]], horizon=bad)     # not an arc: horizon unused
 
     def test_numpy_integers_accepted(self):
         window = np.array(self.WINDOW)

@@ -16,9 +16,10 @@ from randpipe.extract import (
     read_bits,
     von_neumann,
     write_bits,
-    yield_ratio,
 )
 from randpipe.samples import SampleTrace, _undecodable
+
+from test_avrprng import NON_INTEGERS
 
 
 def trace(*vals):
@@ -227,32 +228,15 @@ class TestExtract:
             ExtractorConfig("parity")
 
     def test_window_k_must_be_an_integer(self):
-        with pytest.raises(TypeError):
-            ExtractorConfig("mean", window_k=2.5)
+        t = trace(*range(10))
+        for bad in NON_INTEGERS:
+            with pytest.raises(TypeError):
+                ExtractorConfig("mean", window_k=bad)
+            with pytest.raises(TypeError):
+                raw_mean(t, bad)
         cfg = ExtractorConfig("mean", window_k=np.int64(2))
         assert cfg.window_k == 2 and type(cfg.window_k) is int
-
-
-class TestYieldRatio:
-    def test_leastsign_raw_is_one(self):
-        t = trace(1, 2, 3, 4)
-        assert yield_ratio(t, ExtractorConfig("leastsign", apply_vn=False)) == 1.0
-
-    def test_uniform_parity_vn_near_quarter(self):
-        rng = np.random.default_rng(23)
-        t = SampleTrace(rng.integers(0, 1024, 100_000))
-        r = yield_ratio(t, ExtractorConfig("leastsign"))
-        assert 0.23 < r < 0.27
-
-    def test_constant_trace_yields_nothing(self):
-        t = SampleTrace(np.array([500] * 1000))
-        for algo in ("leastsign", "twoleastsign", "updown"):
-            assert yield_ratio(t, ExtractorConfig(algo)) == 0.0
-
-    def test_empty_trace_rejected(self):
-        t = SampleTrace(np.array([], dtype=np.int64))
-        with pytest.raises(InsufficientSamplesError):
-            yield_ratio(t, ExtractorConfig("leastsign"))
+        assert np.array_equal(raw_mean(t, np.int64(2)), raw_mean(t, 2))
 
 
 # Pieces of adversarial bit files: the two bits, 13 kinds of ASCII and Unicode

@@ -1,5 +1,4 @@
 import hashlib
-import random as pyrandom
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from randpipe.fips import (
     fips_suite,
     format_report,
     ints_to_bits,
-    run_lengths,
 )
 from randpipe.samples import SampleTrace
 
@@ -84,6 +82,22 @@ def naive_x4(blocks, gaps, n=N):
         e = (n - i + 3) / 2 ** (i + 2)
         total += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
     return total
+
+
+def assert_matches_naive(bits):
+    """Every field of fips_suite(bits) equals the naive scanner's."""
+    n1, pcounts, blocks, gaps, longest, nruns = naive_scan(bits)
+    r = fips_suite(bits)
+    assert r.monobit.n1 == n1
+    assert r.monobit.x1 == pytest.approx((N - 2 * n1) ** 2 / N, abs=1e-9)
+    assert r.poker.counts == tuple(pcounts)
+    assert r.poker.x3 == pytest.approx(naive_x3(pcounts), abs=1e-9)
+    assert r.runs.block_counts == tuple(blocks)
+    assert r.runs.gap_counts == tuple(gaps)
+    # truncation keeps every run in some bucket
+    assert sum(r.runs.block_counts) + sum(r.runs.gap_counts) == nruns
+    assert r.runs.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
+    assert r.long_runs.longest_run == longest
 
 
 class TestMonobit:
@@ -159,11 +173,6 @@ class TestPoker:
 
 
 class TestRuns:
-    def test_enumeration_by_hand(self):
-        lengths, symbols = run_lengths([1, 1, 0, 1, 0])
-        assert lengths.tolist() == [2, 1, 1, 1]
-        assert symbols.tolist() == [1, 0, 1, 0]
-
     def test_all_zeros_single_gap(self):
         r = fips_suite(ALL_ZEROS).runs
         assert r.gap_counts == (0, 0, 0, 0, 0, 1)
@@ -185,14 +194,6 @@ class TestRuns:
         assert RUN_INTERVALS[1] == (2267, 2733)
         assert RUN_INTERVALS[6] == (90, 223)
 
-    def test_run_count_equals_changes_plus_one(self):
-        rng = pyrandom.Random(47)
-        for _ in range(50):
-            bits = [rng.randrange(2) for _ in range(200)]
-            lengths, _ = run_lengths(bits)
-            changes = sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-            assert len(lengths) == changes + 1
-
     def test_complement_swaps_blocks_and_gaps(self):
         rng = np.random.default_rng(53)
         bits = rng.integers(0, 2, N).astype(np.uint8)
@@ -203,17 +204,25 @@ class TestRuns:
 
     def test_matches_naive_scanner(self):
         rng = np.random.default_rng(59)
-        for _ in range(10):
-            bits = rng.integers(0, 2, N).astype(np.uint8)
-            n1, pcounts, blocks, gaps, longest, nruns = naive_scan(bits)
-            r = fips_suite(bits).runs
-            assert r.block_counts == tuple(blocks)
-            assert r.gap_counts == tuple(gaps)
-            assert r.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
-            # truncation keeps every run in some bucket
-            assert sum(r.block_counts) + sum(r.gap_counts) == nruns
-            lengths, _ = run_lengths(bits)
-            assert len(lengths) == nruns
+        blocks = [rng.integers(0, 2, N).astype(np.uint8) for _ in range(10)]
+        blocks += [ALL_ZEROS, 1 - ALL_ZEROS, ALTERNATING]
+        blocks += [(rng.random(N) < p).astype(np.uint8) for p in (0.01, 0.99)]
+        for sym in (0, 1):
+            # one change, at the last bit
+            last = np.full(N, sym, np.uint8)
+            last[-1] = 1 - sym
+            blocks.append(last)
+            # a run of exactly `length` at the first and at the last bit
+            for length in (6, 7, 34, 35):
+                head = rng.integers(0, 2, N).astype(np.uint8)
+                head[:length] = sym
+                head[length] = 1 - sym
+                tail = rng.integers(0, 2, N).astype(np.uint8)
+                tail[N - length:] = sym
+                tail[N - length - 1] = 1 - sym
+                blocks += [head, tail]
+        for bits in blocks:
+            assert_matches_naive(bits)
 
 
 class TestLongRuns:
@@ -320,15 +329,7 @@ class TestSuiteOracle:
 
     def test_adversarial_blocks_match_naive(self):
         for bits in adversarial_blocks():
-            n1, pcounts, blocks, gaps, longest, _ = naive_scan(bits)
-            r = fips_suite(bits)
-            assert r.monobit.n1 == n1
-            assert r.poker.counts == tuple(pcounts)
-            assert r.runs.block_counts == tuple(blocks)
-            assert r.runs.gap_counts == tuple(gaps)
-            assert r.long_runs.longest_run == longest
-            assert r.poker.x3 == pytest.approx(naive_x3(pcounts), abs=1e-9)
-            assert r.runs.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
+            assert_matches_naive(bits)
 
 
 class TestIntsToBits:

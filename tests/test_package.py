@@ -6,6 +6,7 @@ import pytest
 import randpipe
 
 MODULES = sorted(Path(randpipe.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_exported_names_resolve():
@@ -40,9 +41,24 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_integer_rule_lives_in_avrprng():
+    """Only avrprng imports operator or an `index`: every other module takes
+    its integers through avrprng._as_int, so the rule is decided in one place."""
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.partition(".")[0] for a in node.names}
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    names.add(node.module)
+                if names & {"operator", "index"}:
+                    importers.add(path.name)
+    assert importers == {"avrprng.py"}
 
 
 def test_unused_import_check_sees_each_form():

@@ -20,6 +20,8 @@ from randpipe.samples import (
     trace_stats,
 )
 
+from test_avrprng import NON_INTEGERS
+
 
 def write(tmp_path, text, name="trace.txt"):
     p = tmp_path / name
@@ -425,6 +427,10 @@ class TestSynthModels:
         m = SynthModel(kind="band")
         with pytest.raises(ValueError):
             synth_trace(m, 0)
+        for bad in NON_INTEGERS:
+            with pytest.raises(TypeError):
+                synth_trace(m, bad)
+        assert np.array_equal(synth_trace(m, np.int64(5)).values, synth_trace(m, 5).values)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -450,17 +456,14 @@ class TestSynthModels:
         with pytest.raises(ValueError):
             SynthModel(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(kind="band", rng_seed=None),        # would seed from the OS
-        dict(kind="band", center=512.5),
-        dict(kind="band", halfwidth=8.0),
-        dict(kind="band", halfwidth=8, noise_width=1.5),
-        dict(kind="drop", transient_start=700.7),
-        dict(kind="replay", replay_values=(1.5, 2.9)),
+    @pytest.mark.parametrize("kind,name", [
+        ("band", "rng_seed"), ("band", "center"), ("band", "halfwidth"),
+        ("band", "noise_width"), ("drop", "transient_start"), ("replay", "replay_values"),
     ], ids=["rng_seed", "center", "halfwidth", "noise_width", "transient_start", "replay"])
-    def test_integer_fields_reject_non_integers(self, kwargs):
-        with pytest.raises(TypeError):
-            SynthModel(**kwargs)
+    def test_integer_fields_reject_non_integers(self, kind, name):
+        for bad in NON_INTEGERS:
+            with pytest.raises(TypeError):
+                SynthModel(kind=kind, **{name: (7, bad) if name == "replay_values" else bad})
 
     def test_numpy_integer_fields_become_ints(self):
         m = SynthModel(kind="band", center=np.int16(500), rng_seed=np.int64(2))
