@@ -144,16 +144,26 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
 
 
 def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
-    """Write a bit file: ASCII '0'/'1', 80 bits per line."""
-    text = (as_bit_array(bits) + ord("0")).tobytes().decode("ascii")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(text[i : i + BITS_PER_LINE] + "\n"
-                      for i in range(0, len(text), BITS_PER_LINE))
+    """Write a bit file: ASCII '0'/'1', 80 bits per line, each ending in a newline."""
+    bits = as_bit_array(bits)           # before open(): a bad input leaves the file alone
+    full = bits.size - bits.size % BITS_PER_LINE
+    rows = np.full((full // BITS_PER_LINE, BITS_PER_LINE + 1), ord("\n"), np.uint8)
+    np.add(bits[:full].reshape(-1, BITS_PER_LINE), ord("0"), out=rows[:, :-1])
+    with open(path, "wb") as fh:
+        fh.write(rows)
+        fh.write((bits[full:] + ord("0")).tobytes() + b"\n" * (full < bits.size))
 
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    text = _read_input(path, BitFormatError).decode("utf-8", "surrogateescape")
+    data = _read_input(path, BitFormatError)
+    bits = np.frombuffer(data.replace(b"\n", b""), np.uint8) - ord("0")
+    return bits if (bits <= 1).all() else _text_bits(path, data)
+
+
+def _text_bits(path: str | PathLike, data: bytes) -> np.ndarray:
+    """`read_bits` past its bytes check, where any byte but '0', '1', '\\n' wraps above 1."""
+    text = data.decode("utf-8", "surrogateescape")
     digits = "".join(text.split())     # split() drops exactly what isspace() accepts
     rest = digits.translate(str.maketrans("", "", "01"))    # all but the bits
     if rest:

@@ -122,22 +122,21 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
         raise ValueError(
             f"sequence has {bits.size} bits; FIPS tests require {REQUIRED_LENGTH}"
         )
-    n1 = int(bits.sum())
-    n0 = REQUIRED_LENGTH - n1
-    x1 = (n0 - n1) ** 2 / REQUIRED_LENGTH
+    n1 = int(np.count_nonzero(bits))
+    x1 = (REQUIRED_LENGTH - 2 * n1) ** 2 / REQUIRED_LENGTH     # (n0 - n1)^2 / n
 
     k = REQUIRED_LENGTH // POKER_M
-    weights = 1 << np.arange(POKER_M - 1, -1, -1)
-    vals = bits.reshape(k, POKER_M).astype(np.int64) @ weights
-    counts = np.bincount(vals, minlength=2**POKER_M)
+    packed = np.packbits(bits)          # two hands a byte, the first in the high nibble
+    counts = np.bincount(packed >> 4, minlength=16) + np.bincount(packed & 15, minlength=16)
     x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
 
     # A run starts at bit 0 and after every change; it ends where the next starts.
     bounds = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [REQUIRED_LENGTH]))
     lengths = np.diff(bounds)
-    # Gaps (runs of 0) by length in [1:7], blocks (runs of 1) in [8:14].
-    by_kind = np.bincount(np.minimum(lengths, 6) + 7 * bits[bounds[:-1]], minlength=14)
-    gaps, blocks = by_kind[1:7].tolist(), by_kind[8:14].tolist()
+    # Runs alternate symbols, so the even-numbered ones are runs of bits[0].
+    firsts, others = (np.bincount(np.minimum(lengths[i::2], 6), minlength=7)[1:].tolist()
+                      for i in (0, 1))
+    blocks, gaps = (firsts, others) if bits[0] else (others, firsts)
     runs_passed = all(lo <= b <= hi and lo <= g <= hi
                       for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
     x4 = 0.0

@@ -4,10 +4,12 @@ from collections import deque
 import numpy as np
 import pytest
 
+from randpipe import extract as extract_module
 from randpipe.extract import (
     BitFormatError,
     ExtractorConfig,
     InsufficientSamplesError,
+    as_bit_array,
     extract,
     raw_leastsign,
     raw_mean,
@@ -69,6 +71,19 @@ def read_bits_loop(path) -> np.ndarray:
                     what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
                     raise BitFormatError(f"{path}: line {lineno}: {what}")
     return np.array(out, dtype=np.uint8)
+
+
+def write_bits_lines(bits, path) -> None:
+    # the bit-file writer as one str slice a line: the oracle for write_bits
+    text = (as_bit_array(bits) + ord("0")).tobytes().decode("ascii")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(text[i : i + 80] + "\n" for i in range(0, len(text), 80))
+
+
+def write_sizes():
+    """Bit counts on and next to the 80-bit line edges, then seeded random ones."""
+    rng = pyrandom.Random(37)
+    return [0, 1, 79, 80, 81, 159, 160, 20000] + [rng.randrange(1, 5000) for _ in range(20)]
 
 
 class TestVonNeumann:
@@ -240,13 +255,15 @@ class TestExtract:
 
 
 # Pieces of adversarial bit files: the two bits, 13 kinds of ASCII and Unicode
-# whitespace, then 8 bad pieces: a BOM, bytes that are not UTF-8 (a truncated
-# sequence among them) and characters that are not bits.
+# whitespace, then 11 bad pieces: a BOM, bytes that are not UTF-8 (a truncated
+# sequence among them) and characters that are not bits. '/', '2', ':', NUL and
+# 0xb0 sit next to the bits' edge when read_bits takes ord('0') from each byte.
 BIT_FILE_PIECES = [
     b"0", b"1",
     b" ", b"\n", b"\r", b"\r\n", b"\t", b"\v", b"\f", b"\x1c", b"\x1d",
     "\u0085".encode(), "\u00a0".encode(), "\u2028".encode(), "\u3000".encode(),
     "\ufeff".encode(), b"\xff", b"\x85", b"\xc3", b"2", b"#", "\u0661".encode(), b"\x00",
+    b"/", b":", b"\xb0",
 ]
 
 
@@ -284,12 +301,47 @@ class TestBitFiles:
         files = [b"", b"0101", b"01\n10"] + [data for data, _ in LINE_NUMBER_CASES]
         for _ in range(2500):
             # files without bad pieces, with a rare one, or with many
-            weights = [40, 40] + [3] * 13 + [rng.choice((0, 0.1, 1))] * 8
+            weights = [40, 40] + [3] * 13 + [rng.choice((0, 0.1, 1))] * 11
             files.append(b"".join(rng.choices(BIT_FILE_PIECES, weights,
                                               k=rng.randrange(1, 200))))
         for data in files:
             p.write_bytes(data)
             assert outcome(read_bits, p) == outcome(read_bits_loop, p), data
+
+    def test_write_matches_line_oracle(self, tmp_path):
+        rng = np.random.default_rng(41)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        for n in write_sizes():
+            bits = rng.integers(0, 2, n)
+            for form in (bits.tolist(), bits.astype(bool), bits.astype(np.int64)):
+                write_bits(form, got)
+                write_bits_lines(form, want)
+                assert got.read_bytes() == want.read_bytes(), (n, type(form))
+
+    def test_bad_input_leaves_file_alone(self, tmp_path):
+        p = tmp_path / "bits.txt"
+        write_bits([1, 0, 1], p)
+        before = p.read_bytes()
+        with pytest.raises(ValueError):
+            write_bits([0, 2], p)
+        assert p.read_bytes() == before
+
+    def test_written_files_take_the_bytes_path(self, tmp_path, monkeypatch):
+        def no_text_path(path, data):
+            raise AssertionError(f"{path} left the bytes path")
+
+        monkeypatch.setattr(extract_module, "_text_bits", no_text_path)
+        rng = np.random.default_rng(43)
+        p = tmp_path / "bits.txt"
+        for n in write_sizes():
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            write_bits(bits, p)
+            assert np.array_equal(read_bits(p), bits)
+        # one FIPS block as 250 lines of 80 bits, built here rather than by write_bits
+        bits = rng.integers(0, 2, 20000).astype(np.uint8)
+        p.write_bytes(b"".join((row + ord("0")).tobytes() + b"\n"
+                               for row in bits.reshape(250, 80)))
+        assert np.array_equal(read_bits(p), bits)
 
     def test_eighty_bits_per_line(self, tmp_path):
         p = tmp_path / "bits.txt"

@@ -322,6 +322,22 @@ def adversarial_blocks():
     return out
 
 
+def run_parity_blocks():
+    """Blocks that start with either bit and hold an odd or an even number of runs.
+
+    The number of runs is odd exactly when the last bit equals the first.
+    All ones is a single run that starts with 1.
+    """
+    rng = np.random.default_rng(79)
+    out = [np.ones(N, np.uint8)]
+    for first in (0, 1):
+        for last in (first, 1 - first):
+            bits = rng.integers(0, 2, N).astype(np.uint8)
+            bits[0], bits[-1] = first, last
+            out.append(bits)
+    return out
+
+
 class TestSuiteOracle:
     def test_report_text_golden(self):
         text = "\n".join(format_report(fips_suite(b)) for b in seeded_blocks())
@@ -330,6 +346,24 @@ class TestSuiteOracle:
     def test_adversarial_blocks_match_naive(self):
         for bits in adversarial_blocks():
             assert_matches_naive(bits)
+
+    def test_first_bit_and_run_parity_in_every_input_form(self):
+        parities = set()
+        for bits in run_parity_blocks():
+            parities.add((int(bits[0]), naive_scan(bits)[-1] % 2))
+            for form in (bits, bits.astype(bool), bits.tolist(), bits.astype(np.int64)):
+                assert_matches_naive(form)
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_fields_are_python_scalars(self):
+        # format_report and the golden digest print these; numpy scalars must not leak
+        for bits in run_parity_blocks() + [ALTERNATING]:
+            r = fips_suite(bits)
+            mono, pok, run, lng = r
+            counts = (mono.n1, *pok.counts, *run.block_counts, *run.gap_counts, lng.longest_run)
+            assert all(type(c) is int for c in counts)
+            assert all(type(x) is float for x in (mono.x1, pok.x3, run.x4))
+            assert all(type(v) is bool for v in r.verdicts.values())
 
 
 class TestIntsToBits:
