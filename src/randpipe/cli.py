@@ -96,10 +96,11 @@ def cmd_lcg(args: argparse.Namespace) -> int:
 
 
 def cmd_crack(args: argparse.Namespace) -> int:
-    seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1)
+    # Python ints: the searches and verify_seed each check every value.
+    seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1).tolist()
     trace = samples.load_trace(args.samples)
     cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
-    if not seq.size:
+    if not seq:
         raise ValueError(f"{args.sequence}: no observed values")
     search = crack.find_seed_opt if args.optimized else crack.find_seed
     result = search(seq, cfg, trace)

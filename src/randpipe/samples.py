@@ -223,8 +223,8 @@ def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     """The values of a file `load_values` calls plain, or None for any other file.
 
     No loop runs per line: lines are found from the newline positions, and
-    each value is Horner's rule over its digits, right-aligned to
-    len(str(hi)) places.
+    each value is Horner's rule over its digits, right-aligned to as many
+    places as the longest value line has.
     """
     width = len(str(hi))
     if not data.isascii() or b"\r" in data:
@@ -240,19 +240,21 @@ def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     lengths[:1] = ends[:1]
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
     lengths[1:] -= 1
+    # take, not buf[...]: indexing casts an int32 index to intp chunk by chunk, 1.7x as slow.
     keep = lengths > 0
-    keep &= buf[ends - lengths] != ord("#")
+    keep &= buf.take(ends - lengths) != ord("#")
     ends, lengths = ends[keep], lengths[keep]
-    if lengths.size and lengths.max() > width:
+    places = int(lengths.max()) if lengths.size else 0
+    if places > width:
         return None
     lengths = lengths.astype(np.uint8)
-    acc = np.zeros(ends.size, np.min_scalar_type(10**width - 1))
-    for k in range(width, 0, -1):
+    acc = np.zeros(ends.size, np.min_scalar_type(10**places - 1))
+    for k in range(places, 0, -1):
         # The k-th byte from each line's end (clamped at the file's start);
         # 0 where the line is shorter.
         at = ends - k
         np.maximum(at, 0, out=at)
-        digits = buf[at]
+        digits = buf.take(at)
         del at
         digits -= ord("0")
         digits[lengths < k] = 0
