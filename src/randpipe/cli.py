@@ -130,9 +130,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once and shared for the life of the process: do not add to it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="randpipe",
         description="Sample-stream randomness toolkit: simulate traces, extract "
@@ -206,18 +211,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output CSV (value,count)")
     p.set_defaults(func=cmd_stats)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of `build_parser().parse_args(argv)`; see `main`."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; map its errors to exit codes and stderr lines.
+
+    The named subcommand's own parser parses argv (sys.argv[1:] if None); the
+    whole parser runs only if argv names none or arguments are left over.
 
     Reads turn OSError into a format error, so an OSError that reaches
     here comes from writing: to the subcommand's output file, or to a
     stdout pipe whose reader has gone. The latter exits 1 without a
     message, as a reader that stops early is not an error to report.
     """
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()

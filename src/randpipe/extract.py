@@ -46,9 +46,10 @@ def as_bit_array(bits: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
-    if not ((arr == 0) | (arr == 1)).all():
+    as_is = arr.dtype == np.uint8       # a checked uint8 array is returned, not copied
+    if not ((arr <= 1) if as_is else (arr == 0) | (arr == 1)).all():
         raise ValueError("bit sequence may contain only 0 and 1")
-    return arr.astype(np.uint8)
+    return arr if as_is else arr.astype(np.uint8)
 
 
 @dataclass(frozen=True)

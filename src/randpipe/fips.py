@@ -126,29 +126,28 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     x1 = (REQUIRED_LENGTH - 2 * n1) ** 2 / REQUIRED_LENGTH     # (n0 - n1)^2 / n
 
     k = REQUIRED_LENGTH // POKER_M
-    packed = np.packbits(bits)          # two hands a byte, the first in the high nibble
-    counts = np.bincount(packed >> 4, minlength=16) + np.bincount(packed & 15, minlength=16)
+    table = np.bincount(np.packbits(bits), minlength=256).reshape(16, 16)  # row: first hand
+    counts = table.sum(axis=1) + table.sum(axis=0)
     x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
 
     # A run starts at bit 0 and after every change; it ends where the next starts.
-    bounds = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [REQUIRED_LENGTH]))
-    lengths = np.diff(bounds)
-    # Runs alternate symbols, so the even-numbered ones are runs of bits[0].
-    firsts, others = (np.bincount(np.minimum(lengths[i::2], 6), minlength=7)[1:].tolist()
-                      for i in (0, 1))
+    bounds = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True])))
+    # Runs alternate symbols: run j, of bits[0] iff j is even, counts in bin 2 * length + j % 2.
+    keys = np.diff(bounds) * 2
+    keys[1::2] += 1
+    hist = np.bincount(keys, minlength=14)
+    firsts, others = (hist[i + 2:i + 12:2].tolist() + [int(hist[i + 12::2].sum())] for i in (0, 1))
     blocks, gaps = (firsts, others) if bits[0] else (others, firsts)
     runs_passed = all(lo <= b <= hi and lo <= g <= hi
                       for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
-    x4 = 0.0
-    for i in range(1, 7):
-        e = expected_run_count(REQUIRED_LENGTH, i)
-        x4 += (blocks[i - 1] - e) ** 2 / e + (gaps[i - 1] - e) ** 2 / e
-    longest = int(lengths.max())
+    expected = (expected_run_count(REQUIRED_LENGTH, i) for i in range(1, 7))
+    x4 = sum((b - e) ** 2 / e + (g - e) ** 2 / e for b, g, e in zip(blocks, gaps, expected))
+    longest = int(np.flatnonzero(hist)[-1]) // 2
 
     return TestReport(
         MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH),
         PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH,
-                    counts=tuple(int(c) for c in counts)),
+                    counts=tuple(counts.tolist())),
         RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
                    x4=x4, passed=runs_passed),
         LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT),
@@ -162,7 +161,7 @@ def _verdict(passed: bool) -> str:
 def format_report(report: TestReport) -> str:
     """Render a report as 'key: value' lines ending in the OVERALL line."""
     mono, pok, run, lng = report
-    lines = [
+    return "\n".join([
         f"n0: {REQUIRED_LENGTH - mono.n1}",
         f"n1: {mono.n1}",
         f"x1: {mono.x1:.4f}",
@@ -171,20 +170,15 @@ def format_report(report: TestReport) -> str:
         f"x3: {pok.x3:.4f}",
         f"poker_df: {POKER_DF}",
         f"poker: {_verdict(pok.passed)}",
-    ]
-    for i in range(1, 7):
-        lines.append(f"block_{i}: {run.block_counts[i - 1]}")
-    for i in range(1, 7):
-        lines.append(f"gap_{i}: {run.gap_counts[i - 1]}")
-    lines += [
+        *(f"block_{i}: {c}" for i, c in enumerate(run.block_counts, 1)),
+        *(f"gap_{i}: {c}" for i, c in enumerate(run.gap_counts, 1)),
         f"x4: {run.x4:.4f}",
         f"runs_df: {RUNS_DF}",
         f"runs: {_verdict(run.passed)}",
         f"longest_run: {lng.longest_run}",
         f"long_runs: {_verdict(lng.passed)}",
         f"OVERALL: {_verdict(report.overall)}",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def ints_to_bits(trace: SampleTrace) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from randpipe import cli
 from randpipe.avrprng import stream
 from randpipe.cli import build_parser, main
 from randpipe.crack import CrackConfig
@@ -611,6 +612,77 @@ class TestParserReuse:
             assert out.err == ""
             texts.append(out.out)
         assert texts[0].startswith("usage: randpipe ") and texts[0] == texts[1]
+
+
+VALID_ARGV = {
+    "simulate": ["simulate", "--model", "band", "--n", "10", "--out", "t.txt", "--stamp"],
+    "extract": ["extract", "--in", "t.txt", "--algo", "mean", "--k", "8", "--out", "b.txt"],
+    "fipstest": ["fipstest", "--in", "b.txt"],
+    "intbits": ["intbits", "--in", "t.txt", "--out", "b.txt"],
+    "lcg": ["lcg", "--seed", "-5", "--count", "3"],
+    "crack": ["crack", "--sequence", "s.txt", "--samples", "t.txt", "--optimized"],
+    "stats": ["stats", "--in", "t.txt", "--hist-out", "h.csv"],
+    "abbreviated": ["extract", "--in", "t.txt", "--al", "mean", "--out", "b.txt"],
+}
+# The whole parser prints these itself: argv names no subcommand, or leaves some over.
+WHOLE_PARSER_ARGV = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown command": ["nope"],
+    "extra argument": ["fipstest", "--in", "x", "extra"],
+    "unknown flag": ["fipstest", "--in", "x", "--bogus"],
+}
+# The subcommand's own parser exits on these, inside the whole parser as well.
+SUBPARSER_EXIT_ARGV = {
+    "missing --in": ["fipstest"],
+    "subcommand help": ["fipstest", "-h"],
+}
+ROUTED_ARGV = {**VALID_ARGV, **WHOLE_PARSER_ARGV, **SUBPARSER_EXIT_ARGV}
+# Which parser ends a "--" differs between Python versions; the outcome must not.
+ALL_ARGV = {**ROUTED_ARGV, "double dash": ["fipstest", "--", "--in", "x"]}
+
+
+def parse_outcome(parse, argv, capsys):
+    """(namespace as a dict or None, exit code or None, stdout, stderr) of one parse."""
+    try:
+        result, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    out = capsys.readouterr()
+    return result, code, out.out, out.err
+
+
+class TestParserDispatch:
+    """main parses with the named subcommand's own parser, and gets what the whole parser gets."""
+
+    @pytest.mark.parametrize("argv", ALL_ARGV.values(), ids=list(ALL_ARGV))
+    def test_same_outcome_as_whole_parser(self, argv, capsys):
+        dispatched = parse_outcome(cli._parse, argv, capsys)
+        assert dispatched == parse_outcome(build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", ROUTED_ARGV.values(), ids=list(ROUTED_ARGV))
+    def test_whole_parser_runs_only_where_needed(self, argv, monkeypatch):
+        class WholeParserRan(Exception):
+            pass
+
+        class WholeParser:
+            def parse_args(self, argv):
+                raise WholeParserRan
+
+        commands = cli._parsers()[1]
+        monkeypatch.setattr(cli, "_parsers", lambda: (WholeParser(), commands))
+        if argv in VALID_ARGV.values():
+            args = cli._parse(argv)
+            assert args.command == argv[0] and args.func is getattr(cli, f"cmd_{argv[0]}")
+        else:
+            expected = WholeParserRan if argv in WHOLE_PARSER_ARGV.values() else SystemExit
+            with pytest.raises(expected):
+                cli._parse(argv)
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["randpipe", "lcg", "--seed", "1", "--count", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out == "16807\n282475249\n"
 
 
 def test_cli_defaults_match_library_defaults():

@@ -86,6 +86,29 @@ def write_sizes():
     return [0, 1, 79, 80, 81, 159, 160, 20000] + [rng.randrange(1, 5000) for _ in range(20)]
 
 
+class TestAsBitArray:
+    def test_uint8_bits_returned_as_is(self):
+        for bits in (np.array([0, 1, 1, 0], np.uint8), np.zeros(0, np.uint8),
+                     np.frombuffer(bytes([1, 0, 1]), np.uint8)):
+            assert as_bit_array(bits) is bits
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float64])
+    def test_other_dtypes_copied(self, dtype):
+        bits = np.array([0, 1, 1, 0], dtype)
+        out = as_bit_array(bits)
+        assert out.dtype == np.uint8 and out.tolist() == [0, 1, 1, 0]
+        assert not np.shares_memory(out, bits)
+
+    @pytest.mark.parametrize("bits", [
+        [0, 2], [-1, 0], [0.5], [[0, 1], [1, 0]], np.array([[0, 1]], np.uint8),
+        # A uint8 cast turns 256 into 0: a fast path that casts first passes it.
+        np.array([0, 256], np.int64), np.array([1, 2], np.uint8), np.array([255], np.uint8),
+    ], ids=repr)
+    def test_rejects_non_bits(self, bits):
+        with pytest.raises(ValueError):
+            as_bit_array(bits)
+
+
 class TestVonNeumann:
     def test_basic_pairs(self):
         assert von_neumann([1, 0, 0, 1]).tolist() == [1, 0]
@@ -109,6 +132,13 @@ class TestVonNeumann:
         for _ in range(50):
             bits = [rng.randrange(2) for _ in range(rng.randrange(0, 300))]
             assert von_neumann(bits).tolist() == naive_von_neumann(bits)
+
+    def test_output_is_a_new_array(self):
+        bits = np.array([1, 0, 1, 0, 1], np.uint8)
+        out = von_neumann(bits)
+        assert out.tolist() == [1, 1] and not np.shares_memory(out, bits)
+        out[0] = 0
+        assert bits.tolist() == [1, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.9])
     def test_debiases_bernoulli_input(self, p):

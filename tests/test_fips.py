@@ -338,7 +338,50 @@ def run_parity_blocks():
     return out
 
 
+def kernel_edge_blocks():
+    """Blocks on the edges of the run and poker kernels, each paired with a name."""
+    rng = np.random.default_rng(83)
+    out = [("zeros", np.zeros(N, np.uint8)), ("ones", np.ones(N, np.uint8)),
+           ("alternating", ALTERNATING.copy()), ("alternating from 1", 1 - ALTERNATING)]
+    for sym in (0, 1):
+        # one change, at bit 1 and at bit 19999
+        for at in (1, N - 1):
+            bits = np.full(N, sym, np.uint8)
+            bits[at:] = 1 - sym
+            out.append((f"{sym} then change at {at}", bits))
+        # a run of exactly `length` at the first bit, in the middle and at the last bit
+        for length in (6, 7, 34, 35):
+            bits = rng.integers(0, 2, N).astype(np.uint8)
+            bits[:length] = sym
+            bits[length] = 1 - sym
+            bits[9999] = bits[10000 + length] = 1 - sym
+            bits[10000:10000 + length] = sym
+            bits[N - length:] = sym
+            bits[N - length - 1] = 1 - sym
+            out.append((f"runs of {length} {sym}s", bits))
+        bits = rng.integers(0, 2, N).astype(np.uint8)
+        bits[0] = sym
+        out.append((f"first bit {sym}", bits))
+    return out
+
+
+def input_forms(bits):
+    """The block as a list, bool, int64, read-only uint8 and writeable uint8 array."""
+    read_only = np.frombuffer(bits.tobytes(), np.uint8)
+    assert not read_only.flags.writeable
+    return [bits.tolist(), bits.astype(bool), bits.astype(np.int64), read_only, bits.copy()]
+
+
 class TestSuiteOracle:
+    def test_kernel_edge_blocks_in_every_input_form(self):
+        for name, bits in kernel_edge_blocks():
+            assert bits.size == N, name
+            for form in input_forms(bits):
+                before = np.array(form)
+                assert_matches_naive(form)
+                after = np.asarray(form)
+                assert after.dtype == before.dtype and np.array_equal(after, before), name
+
     def test_report_text_golden(self):
         text = "\n".join(format_report(fips_suite(b)) for b in seeded_blocks())
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST

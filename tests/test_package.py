@@ -46,6 +46,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+ARGPARSE_PRIVATE = {"_subparsers", "_actions", "_group_actions"}
+
+
+def argparse_private_reads(source):
+    """Lines that read an argparse private attribute, as `._name` or `getattr(x, "_name")`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ARGPARSE_PRIVATE:
+            found.add((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and getattr(node.args[1], "value", None) in ARGPARSE_PRIVATE):
+            found.add((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_argparse_private_reads(path):
+    # argparse's private attributes can change between Python versions.
+    assert argparse_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_argparse_private_check_sees_each_form():
+    source = ("p = build()\nsub = p._subparsers\nacts = p._actions[0]._group_actions\n"
+              "g = getattr(p, '_actions', None)\n_actions = ['._actions']\np.actions\n")
+    assert argparse_private_reads(source) == [
+        (2, "_subparsers"), (3, "_actions"), (3, "_group_actions"), (4, "_actions")]
+
+
 def test_integer_rule_lives_in_avrprng():
     """Only avrprng imports operator or an `index`: every other module takes
     its integers through avrprng._as_int, so the rule is decided in one place."""
