@@ -23,23 +23,18 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+# The SynthModel fields that simulate takes as options, in field order.
+_MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay",
+                  "amplitude", "period", "noise_width")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     replay_values = None
     if args.replay_file:
         replay_values = tuple(samples.load_trace(args.replay_file).values.tolist())
     model = samples.SynthModel(
-        kind=args.model,
-        center=args.center,
-        halfwidth=args.halfwidth,
-        stickiness=args.stickiness,
-        transient_start=args.transient_start,
-        decay=args.decay,
-        amplitude=args.amplitude,
-        period=args.period,
-        noise_width=args.noise_width,
-        rng_seed=args.seed,
-        replay_values=replay_values,
-    )
+        kind=args.model, rng_seed=args.seed, replay_values=replay_values,
+        **{name: getattr(args, name) for name in _MODEL_OPTIONS})
     trace = samples.synth_trace(model, args.n)
     header = None
     if args.stamp:
@@ -120,7 +115,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     st = samples.trace_stats(samples.load_trace(args.infile))
     seen = st.counts.nonzero()[0]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("value,count\n" + "".join(
             f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist())))
     print(f"samples: {st.total}")
@@ -151,14 +146,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--seed", type=int, default=samples.SynthModel.rng_seed,
                    help="model RNG seed")
     p.add_argument("--out", required=True, help="output sample file")
-    p.add_argument("--center", type=int, default=samples.SynthModel.center)
-    p.add_argument("--halfwidth", type=int, default=samples.SynthModel.halfwidth)
-    p.add_argument("--stickiness", type=float, default=samples.SynthModel.stickiness)
-    p.add_argument("--transient-start", type=int, default=samples.SynthModel.transient_start)
-    p.add_argument("--decay", type=float, default=samples.SynthModel.decay)
-    p.add_argument("--amplitude", type=float, default=samples.SynthModel.amplitude)
-    p.add_argument("--period", type=float, default=samples.SynthModel.period)
-    p.add_argument("--noise-width", type=int, default=samples.SynthModel.noise_width)
+    for name in _MODEL_OPTIONS:
+        default = getattr(samples.SynthModel, name)
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     p.add_argument("--replay-file", help="sample file to cycle (replay model)")
     p.add_argument("--stamp", action="store_true",
                    help="include a metadata comment with a timestamp")

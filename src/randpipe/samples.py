@@ -271,8 +271,7 @@ def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
 def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[int]:
     """Parse a file line by line, as text mode reads it; report the first bad line.
 
-    This decides every file the plain path declines, and is the oracle
-    that path is tested against.
+    This decides every file the plain path declines.
     """
     values = []
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
@@ -340,7 +339,7 @@ def load_trace(path: str | PathLike) -> SampleTrace:
 def save_trace(trace: SampleTrace, path: str | PathLike,
                header: str | None = None) -> None:
     """Write a trace in the sample file format; optional '#' header line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in (header or "").splitlines())
         for i in range(0, len(trace), _SAVE_CHUNK):
             fh.write("".join(map(_LINES.__getitem__, trace.values[i:i + _SAVE_CHUNK].tolist())))

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randpipe import cli
+from randpipe import cli, samples
 from randpipe.avrprng import stream
 from randpipe.cli import build_parser, main
 from randpipe.crack import CrackConfig
 from randpipe.extract import ExtractorConfig, read_bits
-from randpipe.samples import SynthModel, load_trace
+from randpipe.samples import SampleTrace, SynthModel, load_trace, synth_trace
 
 from test_fips import crypto_bits
 
@@ -171,6 +171,88 @@ class TestSimulate:
         assert run("simulate", "--model", "replay", "--replay-file", str(src),
                    "--n", "5", "--out", str(out)) == 0
         assert load_trace(out).values.tolist() == [7, 8, 9, 7, 8]
+
+
+SIMULATE_HELP = """\
+usage: randpipe simulate [-h] --model {band,drop,interference,replay} --n N
+                         [--seed SEED] --out OUT [--center CENTER]
+                         [--halfwidth HALFWIDTH] [--stickiness STICKINESS]
+                         [--transient-start TRANSIENT_START] [--decay DECAY]
+                         [--amplitude AMPLITUDE] [--period PERIOD]
+                         [--noise-width NOISE_WIDTH]
+                         [--replay-file REPLAY_FILE] [--stamp]
+
+options:
+  -h, --help            show this help message and exit
+  --model {band,drop,interference,replay}
+  --n N                 number of samples
+  --seed SEED           model RNG seed
+  --out OUT             output sample file
+  --center CENTER
+  --halfwidth HALFWIDTH
+  --stickiness STICKINESS
+  --transient-start TRANSIENT_START
+  --decay DECAY
+  --amplitude AMPLITUDE
+  --period PERIOD
+  --noise-width NOISE_WIDTH
+  --replay-file REPLAY_FILE
+                        sample file to cycle (replay model)
+  --stamp               include a metadata comment with a timestamp
+"""
+
+SIMULATE_ARGV = ["simulate", "--model", "band", "--n", "1", "--out", "x"]
+
+
+class TestSimulateOptions:
+    """simulate's model options are built from SynthModel's fields."""
+
+    def test_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "-h")
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (SIMULATE_HELP, "")
+
+    @pytest.mark.parametrize("option,text,value", [
+        ("--center", "500", 500), ("--halfwidth", "3", 3), ("--stickiness", "0.7", 0.7),
+        ("--transient-start", "900", 900), ("--decay", "0.99", 0.99),
+        ("--amplitude", "8.5", 8.5), ("--period", "40", 40.0), ("--noise-width", "2", 2),
+    ])
+    def test_value_has_the_field_type(self, option, text, value):
+        got = getattr(cli._parse(SIMULATE_ARGV + [option, text]), option[2:].replace("-", "_"))
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize("option,text,kind", [
+        ("--center", "5.5", "int"), ("--noise-width", "2.5", "int"),
+        ("--transient-start", "1e3", "int"), ("--decay", "x", "float"),
+    ])
+    def test_value_of_another_type_rejected(self, capsys, option, text, kind):
+        with pytest.raises(SystemExit) as exc:
+            run(*SIMULATE_ARGV, option, text)
+        assert exc.value.code == 2
+        assert stderr_of(capsys).endswith(
+            f"error: argument {option}: invalid {kind} value: '{text}'\n")
+
+    def test_options_are_the_other_fields(self):
+        # A new SynthModel field must be placed on purpose: as an option, or in cmd_simulate.
+        names = [f.name for f in dataclasses.fields(SynthModel)]
+        assert set(cli._MODEL_OPTIONS) | {"kind", "rng_seed", "replay_values"} == set(names)
+        assert list(cli._MODEL_OPTIONS) == [n for n in names if n in cli._MODEL_OPTIONS]
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("drop", dict(center=340, halfwidth=3, stickiness=0.5, transient_start=900,
+                      decay=0.99, noise_width=1)),
+        ("interference", dict(center=500, halfwidth=10, amplitude=25.5, period=40.0,
+                              noise_width=5)),
+    ], ids=["drop", "interference"])
+    def test_every_option_reaches_the_model(self, tmp_path, kind, fields):
+        out = tmp_path / "t.txt"
+        options = [a for name, v in fields.items() for a in (f"--{name.replace('_', '-')}", str(v))]
+        assert run("simulate", "--model", kind, "--n", "3000", "--seed", "4", *options,
+                   "--out", str(out)) == 0
+        model = SynthModel(kind=kind, rng_seed=4, **fields)
+        assert load_trace(out).values.tolist() == synth_trace(model, 3000).values.tolist()
 
 
 class TestExtract:
@@ -686,7 +768,7 @@ class TestParserDispatch:
 
 
 def test_cli_defaults_match_library_defaults():
-    # The CLI restates these defaults; the two must not drift apart.
+    # Names listed here, not taken from cli._MODEL_OPTIONS, so a slip there cannot hide.
     def defaults(cls):
         return {f.name: f.default for f in dataclasses.fields(cls)}
 
@@ -720,6 +802,27 @@ def test_unwritable_output(tmp_path, capsys, argv):
     err = stderr_of(capsys)
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def crlf_open(file, mode="r", *args, **kwargs):
+    """open() as Windows opens a text file: without newline=, '\\n' is written as '\\r\\n'."""
+    if "b" not in mode:
+        kwargs.setdefault("newline", "\r\n")
+    return open(file, mode, *args, **kwargs)
+
+
+def test_written_lines_end_in_lf_on_every_platform(tmp_path, monkeypatch):
+    probe = tmp_path / "probe.txt"
+    with crlf_open(probe, "w") as fh:
+        fh.write("1\n")
+    assert probe.read_bytes() == b"1\r\n"
+    monkeypatch.setattr(samples, "open", crlf_open, raising=False)
+    monkeypatch.setattr(cli, "open", crlf_open, raising=False)
+    trace_file, hist = tmp_path / "t.txt", tmp_path / "h.csv"
+    samples.save_trace(SampleTrace(np.array([5, 5, 7])), trace_file, header="capture\nnotes")
+    assert trace_file.read_bytes() == b"# capture\n# notes\n5\n5\n7\n"
+    assert run("stats", "--in", str(trace_file), "--hist-out", str(hist)) == 0
+    assert hist.read_bytes() == b"value,count\n5,2\n7,1\n"
 
 
 def closed_pipe_outcome(**env_vars):

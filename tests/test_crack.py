@@ -366,6 +366,12 @@ class TestAudit:
         found = audit_candidate_streams([w], horizon=100)
         assert (0, 0) in found[0] and (1, 0) in found[0]
 
+    @pytest.mark.parametrize("targets", [[], [[]], [stream(1, 3), []]],
+                             ids=["no-targets", "empty-window", "one-empty-window"])
+    def test_rejects_empty_targets(self, targets):
+        with pytest.raises(ValueError, match="targets must be non-empty windows"):
+            audit_candidate_streams(targets, horizon=10)
+
 
 def fields(result):
     return (result.seed, result.offset, result.total_steps)

@@ -74,6 +74,36 @@ def test_argparse_private_check_sees_each_form():
         (2, "_subparsers"), (3, "_actions"), (3, "_group_actions"), (4, "_actions")]
 
 
+def text_writes_without_newline(source):
+    """Lines that call open() to write in text mode without `newline=`: such a file
+    ends its lines in os.linesep, which is '\\r\\n' on Windows. A mode that is not
+    a literal counts as a text write."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        mode = mode.value if isinstance(mode, ast.Constant) else "w"
+        newline = len(node.args) > 5 or any(k.arg == "newline" for k in node.keywords)
+        if set(mode) & set("wax+") and "b" not in mode and not newline:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_writes_set_newline(path):
+    assert text_writes_without_newline(path.read_text(encoding="utf-8")) == []
+
+
+def test_newline_check_sees_each_form():
+    source = ("open(p, 'w', encoding='utf-8')\nopen(p, 'w', newline='')\nopen(p, 'wb')\n"
+              "open(p)\nopen(p, mode='a')\nopen(p, 'r+', encoding='utf-8')\n"
+              "open(p, 'x', -1, 'utf-8', None, '')\nopen(p, 'rb')\nos.open(p, os.O_WRONLY)\n"
+              "open(p, m)\nopen(p, mode='ab+')\nopen(p, encoding='utf-8')\n")
+    assert text_writes_without_newline(source) == [1, 5, 6, 10]
+
+
 def test_integer_rule_lives_in_avrprng():
     """Only avrprng imports operator or an `index`: every other module takes
     its integers through avrprng._as_int, so the rule is decided in one place."""

@@ -1,5 +1,5 @@
-import io
 import random as pyrandom
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,13 +37,14 @@ class TestSampleTrace:
         assert len(t) == 0 and t.values.dtype == np.int64
 
     # [True] stands alone: [512, True] would be an integer array
-    @pytest.mark.parametrize(
-        "values", [[512, -1], [512, 1024], [512, 5000], [1.7], ["5"], [True]],
-        ids=["-1", "1024", "5000", "1.7", "5", "True"],
-    )
-    def test_out_of_range_rejected(self, values):
+    @pytest.mark.parametrize("values, message", [
+        ([512, -1], "sample value -1 outside"), ([512, 1024], "sample value 1024 outside"),
+        ([512, 5000], "sample value 5000 outside"), ([1.7], "not float64"), (["5"], "not <U1"),
+        ([True], "not bool"), ([[1, 2], [3, 4]], "trace values must be one-dimensional"),
+    ], ids=["-1", "1024", "5000", "1.7", "5", "True", "2-D"])
+    def test_out_of_range_rejected(self, values, message):
         # non-integers are rejected before a cast could turn them into samples
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             SampleTrace(np.array(values))
 
     def test_values_immutable(self):
@@ -153,6 +154,29 @@ def random_file(rng, lo, hi):
     return end.join(lines) + rng.choice((end, b""))
 
 
+def load_values_loop(path, lo, hi):
+    """The sample-file grammar one text-mode line at a time: the oracle for load_values."""
+    values = []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            # surrogateescape turns each byte that is not UTF-8 into a lone surrogate
+            if any("\ud800" <= ch <= "\udfff" for ch in text):
+                raise TraceFormatError(f"{path}: line {lineno}: not UTF-8")
+            if not text or text.startswith("#"):
+                continue
+            if not re.fullmatch(r"-?[0-9]+", text):
+                raise TraceFormatError(f"{path}: line {lineno}: not an integer: {text!r}")
+            # a value too long for the range is reported without converting it
+            digits = text.lstrip("-").lstrip("0") or "0"
+            value = "-" + digits if text[0] == "-" and digits != "0" else digits
+            if len(digits) > len(str(hi)) or not lo <= int(value) <= hi:
+                raise TraceFormatError(
+                    f"{path}: line {lineno}: value {value} outside [{lo}, {hi}]")
+            values.append(int(value))
+    return values
+
+
 def outcome(read):
     try:
         return [int(v) for v in read()]
@@ -172,19 +196,19 @@ def test_plain_path_matches_line_parser(tmp_path, lo, hi):
         shaped.append(nine_digits)
     for data in shaped:
         assert _plain_values(data, lo, hi) is not None, data
+    # past int()'s 4300-digit limit; leading zeros do not count
+    overlong = [b"9" * 5000, b"-" + b"9" * 5000, b"0" * 5000 + b"1024", b"0" * 5000 + b"7",
+                b"-" + b"0" * 5000 + b"3", b"-" + b"0" * 5000]
     files = shaped + [nine_digits, b"", b"\n", b"0", b"\n\n# c\n"] + [
-        line + end for line in ADVERSARIAL + bounds for end in (b"", b"\n", b"\n1\n")]
+        line + end for line in ADVERSARIAL + bounds + overlong for end in (b"", b"\n", b"\n1\n")]
     files += [random_file(rng, lo, hi) for _ in range(600)]
     plain = 0
     for data in files:
         p = tmp_path / "f.txt"
         p.write_bytes(data)
-        # the line parser splits the bytes in hand as a text file splits them
-        with open(p, encoding="utf-8", errors="surrogateescape") as fh:
-            assert list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                         errors="surrogateescape")) == list(fh)
-        expected = outcome(lambda: _parse_lines(p, data, lo, hi))
+        expected = outcome(lambda: load_values_loop(p, lo, hi))
         assert outcome(lambda: load_values(p, lo, hi)) == expected, data
+        assert outcome(lambda: _parse_lines(p, data, lo, hi)) == expected, data
         fast = _plain_values(data, lo, hi)
         if fast is not None:
             plain += 1
@@ -254,7 +278,7 @@ def test_save_load_round_trip(tmp_path):
 
 def save_trace_loop(trace, path, header=None):
     """save_trace with one write per value: the oracle for its chunked writes."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
@@ -476,6 +500,7 @@ class TestSynthModels:
             dict(kind="interference", amplitude=float("nan")),
             dict(kind="interference", amplitude=float("inf")),
             dict(kind="interference", period=float("nan")),
+            dict(kind="band", noise_width=-1),  # the walk's noise draw would spin
         ],
     )
     def test_invalid_parameters(self, kwargs):
