@@ -6,7 +6,7 @@ and recover the avr-libc PRNG seed when it was set from a 10-bit analog
 reading.
 """
 
-from .avrprng import LcgState, random, srandom, stream
+from .avrprng import srandom, stream
 from .crack import (
     CrackConfig,
     CrackResult,
@@ -38,9 +38,7 @@ from .samples import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LcgState",
     "srandom",
-    "random",
     "stream",
     "SampleTrace",
     "SynthModel",

@@ -13,7 +13,6 @@ from a valid state.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 MODULUS = 2**31 - 1        # 2147483647, prime
 MULTIPLIER = 7**5          # 16807, a primitive root mod MODULUS
@@ -27,20 +26,8 @@ def _as_int(value: object) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class LcgState:
-    """Generator state; x is confined to [1, MODULUS - 1]."""
-
-    x: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_int(self.x))
-        if not 1 <= self.x <= MODULUS - 1:
-            raise ValueError(f"LCG state {self.x} outside [1, {MODULUS - 1}]")
-
-
-def srandom(seed: int) -> LcgState:
-    """Seed the generator.
+def srandom(seed: int) -> int:
+    """Seed the generator; returns the state, in [1, 2**31 - 2].
 
     The seed is reduced mod 2**31 - 1. A zero residue is mapped to 1:
     zero is a fixed point of the recurrence and would yield an all-zero
@@ -51,17 +38,7 @@ def srandom(seed: int) -> LcgState:
     seed = _as_int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    x = seed % MODULUS
-    return LcgState(x if x else 1)
-
-
-def random(state: LcgState) -> tuple[int, LcgState]:
-    """Advance one step; returns (output value, next state).
-
-    The output equals the next state, as in avr-libc.
-    """
-    nxt = (MULTIPLIER * state.x) % MODULUS
-    return nxt, LcgState(nxt)
+    return seed % MODULUS or 1
 
 
 def stream(seed: int, count: int) -> list[int]:
@@ -69,7 +46,7 @@ def stream(seed: int, count: int) -> list[int]:
     count = _as_int(count)
     if count < 0:
         raise ValueError("count must be non-negative")
-    x = srandom(seed).x
+    x = srandom(seed)
     out = []
     for _ in range(count):
         x = (MULTIPLIER * x) % MODULUS

@@ -125,14 +125,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once and shared for the life of the process: do not add to it."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The whole parser, and each subcommand's own parser by name."""
+    """The whole parser, and each subcommand's own parser by name. They are built
+    once and shared for the life of the process: do not add to them."""
     parser = argparse.ArgumentParser(
         prog="randpipe",
         description="Sample-stream randomness toolkit: simulate traces, extract "
@@ -205,7 +201,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of `build_parser().parse_args(argv)`; see `main`."""
+    """The namespace of `_parsers()[0].parse_args(argv)`; see `main`."""
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(
@@ -239,7 +235,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         # With stdout on devnull, Python's own flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
         return 1
     except OSError as exc:
         out = getattr(args, "out", None)

@@ -193,7 +193,7 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
     if _as_int(max_offset) < 0:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
-    x = srandom(g).x
+    x = srandom(g)
     c = (_dlog(vals[0] * pow(x, -1, MODULUS) % MODULUS) - 1) % GROUP_ORDER
     if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
         return c

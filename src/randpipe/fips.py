@@ -107,10 +107,6 @@ class TestReport(NamedTuple):
     long_runs: LongRunsResult
 
     @property
-    def verdicts(self) -> dict[str, bool]:
-        return {name: r.passed for name, r in zip(self._fields, self)}
-
-    @property
     def overall(self) -> bool:
         return all(r.passed for r in self)
 

@@ -51,7 +51,7 @@ def test_criterion_2_fips_deterministic_fixtures():
     alt = np.tile([0, 1], 10000).astype(np.uint8)
 
     z = fips_suite(zeros)
-    ok = not any(z.verdicts.values())
+    ok = tuple(t.passed for t in z) == (False, False, False, False)
     ok &= abs(z.monobit.x1 - 20000.0) < 1e-9
     ok &= abs(z.poker.x3 - 75000.0) < 1e-9
 

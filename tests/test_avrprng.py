@@ -3,7 +3,7 @@ import random as pyrandom
 import numpy as np
 import pytest
 
-from randpipe.avrprng import MODULUS, MULTIPLIER, LcgState, random, srandom, stream
+from randpipe.avrprng import MODULUS, MULTIPLIER, srandom, stream
 
 
 def test_constants():
@@ -19,24 +19,21 @@ def test_first_outputs_from_seed_1():
 
 def test_minimal_standard_check_value():
     # The classic full-period check: from x0 = 1, x10000 = 1043618065.
-    x = srandom(1)
-    for _ in range(10000):
-        _, x = random(x)
-    assert x.x == 1043618065
+    assert stream(1, 10000)[-1] == 1043618065
 
 
 def test_srandom_identity_small_seed():
-    assert srandom(1).x == 1
-    assert srandom(881).x == 881
+    assert srandom(1) == 1
+    assert srandom(881) == 881
 
 
 def test_srandom_zero_maps_to_one():
-    assert srandom(0).x == 1
+    assert srandom(0) == 1
     assert stream(0, 5) == stream(1, 5)
 
 
 def test_srandom_modulus_wraps_then_maps():
-    assert srandom(2**31 - 1).x == 1
+    assert srandom(2**31 - 1) == 1
 
 
 def test_srandom_rejects_negative():
@@ -45,17 +42,18 @@ def test_srandom_rejects_negative():
 
 
 def test_random_single_steps():
-    v, st = random(LcgState(1))
-    assert v == 16807 and st.x == 16807
-    v, st = random(st)
-    assert v == 282475249 and st.x == 282475249
+    # Each output is one step from the state that the previous output seeds.
+    assert stream(1, 1) == [16807]
+    assert stream(16807, 1) == [282475249]
 
 
 def test_state_bounds_enforced():
-    with pytest.raises(ValueError):
-        LcgState(0)
-    with pytest.raises(ValueError):
-        LcgState(2**31 - 1)
+    # The state is the seed mod 2^31 - 1 with a zero residue mapped to 1, so it
+    # never leaves [1, 2^31 - 2], where neither fixed point (0, 2^31 - 1) lies.
+    for seed in (0, 1, 2**31 - 2, 2**31 - 1, 2**31, 2 * (2**31 - 1), 2**100):
+        state = srandom(seed)
+        assert 1 <= state <= 2**31 - 2
+        assert state == (seed % (2**31 - 1) or 1), seed
 
 
 # Values every integer input of the package must refuse with TypeError: a
@@ -67,8 +65,6 @@ NON_INTEGERS = (2.5, 4.0, True, False, np.True_, "3", None)
 def test_non_integer_state_rejected():
     for bad in NON_INTEGERS:
         with pytest.raises(TypeError):
-            LcgState(bad)
-        with pytest.raises(TypeError):
             srandom(bad)
         with pytest.raises(TypeError):
             stream(1, bad)
@@ -77,7 +73,7 @@ def test_non_integer_state_rejected():
     with pytest.raises(TypeError):
         stream(0.0, 1)      # a zero residue must not map to the seed-1 stream
     assert stream(np.int64(5), np.int64(2)) == stream(5, 2)
-    assert type(LcgState(np.int64(5)).x) is int
+    assert type(srandom(np.int64(5))) is int
 
 
 def test_stream_empty():
@@ -99,15 +95,10 @@ def test_stream_self_seeding():
 def test_self_seeding_random_states():
     rng = pyrandom.Random(1234)
     for _ in range(200):
-        x0 = LcgState(rng.randrange(1, MODULUS - 1))
-        v1, st1 = random(x0)
-        v2, _ = random(st1)
-        w1, st = random(srandom(v1))
-        assert (v1, v2) == (v1, w1) and st.x == v2
+        v1, v2 = stream(rng.randrange(1, MODULUS - 1), 2)
+        assert stream(v1, 1) == [v2]
 
 
 def test_outputs_stay_in_range_and_never_zero():
-    x = 1
-    for _ in range(1_000_000):
-        x = (MULTIPLIER * x) % MODULUS
-        assert 0 < x < MODULUS
+    out = np.array(stream(1, 10**6))
+    assert out.min() > 0 and out.max() < MODULUS

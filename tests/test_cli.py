@@ -10,7 +10,7 @@ import pytest
 
 from randpipe import cli, samples
 from randpipe.avrprng import stream
-from randpipe.cli import build_parser, main
+from randpipe.cli import main
 from randpipe.crack import CrackConfig
 from randpipe.extract import ExtractorConfig, read_bits
 from randpipe.samples import SampleTrace, SynthModel, load_trace, synth_trace
@@ -662,7 +662,7 @@ class TestParserReuse:
     """main parses every call with one parser; no call may change what a later one gets."""
 
     def test_one_parser_per_process(self):
-        assert build_parser() is build_parser()
+        assert cli._parsers() is cli._parsers()
 
     @pytest.mark.parametrize("first,then", [("rate", "twoleastsign"), ("no-vn", "mean")])
     def test_extract_flag_then_default(self, readme_files, capsys, tmp_path, first, then):
@@ -740,7 +740,7 @@ class TestParserDispatch:
     @pytest.mark.parametrize("argv", ALL_ARGV.values(), ids=list(ALL_ARGV))
     def test_same_outcome_as_whole_parser(self, argv, capsys):
         dispatched = parse_outcome(cli._parse, argv, capsys)
-        assert dispatched == parse_outcome(build_parser().parse_args, argv, capsys)
+        assert dispatched == parse_outcome(cli._parsers()[0].parse_args, argv, capsys)
 
     @pytest.mark.parametrize("argv", ROUTED_ARGV.values(), ids=list(ROUTED_ARGV))
     def test_whole_parser_runs_only_where_needed(self, argv, monkeypatch):
@@ -772,7 +772,7 @@ def test_cli_defaults_match_library_defaults():
     def defaults(cls):
         return {f.name: f.default for f in dataclasses.fields(cls)}
 
-    parse = build_parser().parse_args
+    parse = cli._parsers()[0].parse_args
     sim = vars(parse(["simulate", "--model", "band", "--n", "1", "--out", "x"]))
     model = defaults(SynthModel)
     for name in ("center", "halfwidth", "stickiness", "transient_start", "decay",
@@ -825,13 +825,13 @@ def test_written_lines_end_in_lf_on_every_platform(tmp_path, monkeypatch):
     assert hist.read_bytes() == b"value,count\n5,2\n7,1\n"
 
 
-def closed_pipe_outcome(**env_vars):
-    """(exit code, stderr) of `randpipe lcg` whose reader closes after one line."""
+def closed_pipe_outcome(launcher=("-m", "randpipe"), **env_vars):
+    """(exit code, stderr) of `python <launcher> lcg ...` whose reader closes after one line."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "randpipe", "lcg", "--seed", "1", "--count", "200000"],
+        [sys.executable, *launcher, "lcg", "--seed", "1", "--count", "200000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"16807\n"
     proc.stdout.close()
@@ -850,3 +850,31 @@ def test_closed_stdout_pipe_either_buffering(unbuffered):
     # Unbuffered (`python -u`), one large write to a pipe whose reader has
     # gone can end short without an error, so the output must not be one write.
     assert closed_pipe_outcome(PYTHONUNBUFFERED=unbuffered) == (1, b"")
+
+
+# Runs cli.main on its argv, recording every fd that os.open returns, and then
+# prints how many there were and which of them are still open.
+FD_PROBE = """
+import os, sys
+from randpipe import cli
+
+def still_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+opened, os_open = [], os.open
+os.open = lambda *args: opened.append(os_open(*args)) or opened[-1]
+rc = cli.main()
+os.open = os_open
+print(len(opened), [fd for fd in opened if still_open(fd)], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_closed_stdout_pipe_leaves_no_fd_open():
+    # main points stdout at os.devnull through one fd of its own, and must close it:
+    # an in-process caller would otherwise leak one fd per closed pipe.
+    assert closed_pipe_outcome(("-c", FD_PROBE)) == (1, b"1 []\n")

@@ -260,19 +260,19 @@ class TestLongRuns:
 class TestSuite:
     def test_all_zeros_fails_everything(self):
         r = fips_suite(ALL_ZEROS)
-        assert r.verdicts == {"monobit": False, "poker": False,
-                              "runs": False, "long_runs": False}
+        # monobit, poker, runs, long runs
+        assert tuple(t.passed for t in r) == (False, False, False, False)
         assert not r.overall
 
     def test_alternating_verdict_pattern(self):
         r = fips_suite(ALTERNATING)
-        assert r.verdicts == {"monobit": True, "poker": False,
-                              "runs": False, "long_runs": True}
+        # monobit, poker, runs, long runs
+        assert tuple(t.passed for t in r) == (True, False, False, True)
         assert not r.overall
 
     def test_overall_is_conjunction(self):
         r = fips_suite(crypto_bits("suite", N))
-        assert r.overall == all(r.verdicts.values())
+        assert r.overall == all(t.passed for t in r)
 
     def test_reference_generator_passes(self):
         assert fips_suite(crypto_bits("good", N)).overall
@@ -406,7 +406,7 @@ class TestSuiteOracle:
             counts = (mono.n1, *pok.counts, *run.block_counts, *run.gap_counts, lng.longest_run)
             assert all(type(c) is int for c in counts)
             assert all(type(x) is float for x in (mono.x1, pok.x3, run.x4))
-            assert all(type(v) is bool for v in r.verdicts.values())
+            assert all(type(t.passed) is bool for t in r)
 
 
 class TestIntsToBits:

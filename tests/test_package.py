@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import randpipe
 
 MODULES = sorted(Path(randpipe.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def test_exported_names_resolve():
@@ -20,6 +22,55 @@ def test_star_import_binds_exactly_all():
     exec("from randpipe import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(randpipe.__all__)
+
+
+def test_star_import_shadows_no_stdlib_module():
+    assert sorted(set(randpipe.__all__) & sys.stdlib_module_names) == []
+
+
+def unread_api(modules, readers=()):
+    """Public top-level functions and classes, and public methods and properties, that
+    `modules` (module name -> source) define and no code reads, as 'module.name' or
+    'module.Class.name'. A read is a loaded name or attribute in any of `modules` or
+    `readers`; an import or a string is not. Reads match by name alone, so a read of
+    a namesake elsewhere can hide an unread definition."""
+    defined, read = [], set()
+    for module, source in [*modules.items(), *((None, source) for source in readers)]:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        for top in tree.body if module else []:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            defined.append((f"{module}.{top.name}", top.name))
+            if isinstance(top, ast.ClassDef):
+                defined.extend((f"{module}.{top.name}.{node.name}", node.name) for node in top.body
+                               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+    return sorted(qualified for qualified, name in defined if name not in read)
+
+
+def test_no_unread_api():
+    """Every public function, class, method and property in src/ is read by the package
+    or by the benchmark. __init__.py's re-exports and the tests do not count."""
+    modules = {path.stem: path.read_text(encoding="utf-8")
+               for path in MODULES if path.name != "__init__.py"}
+    readers = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert readers
+    assert unread_api(modules, readers) == []
+
+
+def test_unread_api_check_sees_each_form():
+    modules = {
+        "a": ("def used():\n    def inner(): pass\ndef unused(): pass\ndef _private(): pass\n"
+              "class Kept:\n    def method(self): pass\n    @property\n    def prop(self): pass\n"
+              "    def _hidden(self): pass\n    def __len__(self): return 0\n"
+              "class Gone:\n    pass\nclass Benched: pass\nused()\n"),
+        "b": "from a import unused\nimport a\na.Kept().method()\nx = ['prop', 'Gone']\nGone = 1\n",
+    }
+    assert unread_api(modules, ["k = Benched\nobj.prop = 2\n"]) == [
+        "a.Gone", "a.Kept.prop", "a.unused"]
+    assert unread_api(modules) == ["a.Benched", "a.Gone", "a.Kept.prop", "a.unused"]
 
 
 def unused_imports(source):
