@@ -164,6 +164,30 @@ class TestSimulate:
         assert run("simulate", "--model", "band", *argv, "--out", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # sha256 of one output of each other model, away from its defaults and
+    # clipped at 0 or SAMPLE_MAX: the drop term, numpy's sin and the replay
+    # cycle must give the bytes the per-sample loops gave.
+    @pytest.mark.parametrize("model,argv,digest", [
+        ("drop", ["--center", "900", "--halfwidth", "20", "--stickiness", "0.6",
+          "--transient-start", "0", "--decay", "0.9993", "--noise-width", "4",
+          "--seed", "3"],
+         "52e2535cb85e4f6c0c39663fd62d674dcf7a67e7498247e38c9f597048e1c211"),
+        ("interference", ["--center", "1005", "--halfwidth", "12",
+          "--stickiness", "0.75", "--amplitude", "37.5", "--period", "33.3",
+          "--noise-width", "5", "--seed", "9"],
+         "05c04cac2567e3e4debc7bf4cf8812e0ad247b4d4d929f614352d5c4c639cac6"),
+        ("replay", [], "ce049e1f1b9e01abb09d66082dc6e1cac62a770ee7a40d77e5b2622634522692"),
+    ], ids=["drop", "interference", "replay"])
+    def test_model_digest(self, tmp_path, model, argv, digest):
+        if model == "replay":
+            replay = tmp_path / "replay.txt"
+            write_lines(replay, [i * 389 % 1024 for i in range(1, 38)])
+            argv = ["--replay-file", str(replay)]
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", model, *argv, "--n", "100000",
+                   "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_replay_model(self, tmp_path):
         src = tmp_path / "src.txt"
         write_lines(src, [7, 8, 9])
