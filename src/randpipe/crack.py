@@ -92,6 +92,7 @@ def _subgroups() -> list[tuple[int, int, dict[int, int]]]:
     return tables
 
 
+@functools.lru_cache(maxsize=1)    # a crack job's search and its verify_seed take the same one
 def _dlog(y: int) -> int:
     """The e in [0, GROUP_ORDER) with 16807^e = y mod MODULUS, for y in [1, MODULUS - 1]."""
     return sum(w * logs[pow(y, c, MODULUS)] for c, w, logs in _subgroups()) % GROUP_ORDER
@@ -114,7 +115,8 @@ def _seed_logs() -> np.ndarray:
 
 def _offsets(first: int) -> np.ndarray:
     """[i]: the smallest offset of a window starting with `first` in seed i's stream."""
-    return (_dlog(first) - _seed_logs() - 1) % GROUP_ORDER
+    logs = _seed_logs()      # first: building it would evict first's logarithm
+    return (_dlog(first) - logs - 1) % GROUP_ORDER
 
 
 def _search(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
@@ -194,7 +196,8 @@ def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
         raise ValueError("max_offset must be >= 0")
     vals = _checked_sequence(s)
     x = srandom(g)
-    c = (_dlog(vals[0] * pow(x, -1, MODULUS) % MODULUS) - 1) % GROUP_ORDER
+    log_x = int(_seed_logs()[x]) if x < SEED_SPACE else _dlog(x)
+    c = (_dlog(vals[0]) - log_x - 1) % GROUP_ORDER
     if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
         return c
     return None

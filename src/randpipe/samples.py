@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import random as _pyrandom
 from dataclasses import dataclass, field
-from math import isfinite, pi, sin
+from math import isfinite
 from os import PathLike
 
 import numpy as np
@@ -177,29 +177,21 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     n = _as_int(n)
     if n <= 0:
         raise ValueError("n must be positive")
-    rng = _pyrandom.Random(model.rng_seed)
-
+    if model.kind == "interference" and not isfinite(2.0 * np.pi * (n - 1) / model.period):
+        raise ValueError(f"period {model.period} is too small for n={n}: the phase overflows")
     if model.kind == "replay":
-        vals = model.replay_values
-        out = [vals[i % len(vals)] for i in range(n)]
-    elif model.kind == "band":
-        out = _band_walk(model, n, rng)
-    elif model.kind == "drop":
-        out = _band_walk(model, n, rng)
-        offset = float(model.transient_start - model.center)
-        for i in range(n):
-            if abs(offset) < 0.5:
-                break
-            v = out[i] + round(offset)
-            out[i] = min(max(v, 0), SAMPLE_MAX)
-            offset *= model.decay
-    else:  # interference
-        out = _band_walk(model, n, rng)
-        for i in range(n):
-            v = out[i] + round(model.amplitude * sin(2.0 * pi * i / model.period))
-            out[i] = min(max(v, 0), SAMPLE_MAX)
-
-    arr = np.array(out, dtype=np.int64)
+        arr = np.resize(np.array(model.replay_values, dtype=np.int64), n)
+    else:
+        arr = np.array(_band_walk(model, n, _pyrandom.Random(model.rng_seed)), dtype=np.int64)
+    if model.kind == "drop":
+        # offset, offset*decay, ... as a loop folds it: offset * cumprod(decay) rounds differently.
+        term = np.multiply.accumulate(np.append(model.transient_start - model.center,
+                                                np.full(n - 1, model.decay)))
+    elif model.kind == "interference":
+        term = model.amplitude * np.sin(2.0 * np.pi * np.arange(n) / model.period)
+    if model.kind in ("drop", "interference"):
+        # In floats, so that a term beyond int64's range still saturates.
+        arr = np.clip(arr + np.rint(term), 0, SAMPLE_MAX).astype(np.int64)
     arr.flags.writeable = False          # nothing else holds it: no copy needed
     return SampleTrace(arr)
 

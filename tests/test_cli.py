@@ -143,6 +143,15 @@ class TestSimulate:
         assert stderr_of(capsys) == f"error: {missing(nope)}\n"
         assert not (tmp_path / "t.txt").exists()
 
+    def test_period_too_small_for_n(self, tmp_path, capsys):
+        # 2*pi*49/1e-308 overflows: the sinusoid has no phase to take.
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", "interference", "--period", "1e-308",
+                   "--n", "50", "--out", str(out)) == 2
+        assert stderr_of(capsys) == \
+            "error: period 1e-308 is too small for n=50: the phase overflows\n"
+        assert not out.exists()
+
     def test_stamp_adds_comment(self, tmp_path):
         out = tmp_path / "t.txt"
         assert run("simulate", "--model", "band", "--n", "10",

@@ -8,6 +8,8 @@ from randpipe.crack import (
     GROUP_ORDER,
     SEED_SPACE,
     CrackConfig,
+    _dlog,
+    _seed_logs,
     audit_candidate_streams,
     find_seed,
     find_seed_opt,
@@ -334,6 +336,19 @@ class TestVerifySeed:
         with pytest.raises(ValueError):
             verify_seed(1, [16807], -1)
 
+    def test_search_and_verify_share_one_logarithm(self):
+        # The search takes the logarithm of the window's first value, and
+        # verify_seed reuses it; a seed below 1024 has its own in the seed
+        # table. Building that table first costs one per prime below 1024.
+        s = stream(777, 103)[3:]
+        for table_logs in (172, 0):
+            if table_logs:
+                _seed_logs.cache_clear()
+            _dlog.cache_clear()
+            result = find_seed(s, CrackConfig(), trace([777]))
+            assert verify_seed(result.seed, s, result.offset) == 3
+            assert _dlog.cache_info().misses == 1 + table_logs
+
     def test_rejects_negative_seed(self):
         # -5 and 2^31 - 6 are congruent mod 2^31 - 1; srandom refuses the former
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -510,6 +525,14 @@ class TestVerifySeedAgainstScan:
                 b = broken(s, rng)
                 assert verify_seed(g, b, d) is None
                 assert verify_scan(g, b, d) is None
+
+    def test_seeds_past_the_seed_table(self):
+        # A state from 1024 up takes its own logarithm; MODULUS + 700 and
+        # MODULUS reduce to states 700 and 1, which the table holds.
+        for g in (1024, 10**9, MODULUS - 1, MODULUS, MODULUS + 700, 2**40):
+            s = stream(g, 57)[50:]
+            assert verify_seed(g, s, 60) == verify_scan(g, s, 60) == 50
+            assert verify_seed(g, s, 49) is verify_scan(g, s, 49) is None
 
     def test_smallest_offset_past_a_cycle(self):
         # A match at max_offset recurs every 2^31 - 2 outputs; the

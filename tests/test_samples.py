@@ -1,3 +1,4 @@
+import math
 import random as pyrandom
 import re
 import tracemalloc
@@ -349,6 +350,33 @@ def band_walk_loop(model, n, rng):
     return out
 
 
+def synth_trace_loop(model, n):
+    """synth_trace with a per-sample loop for each model's term: the oracle for its array steps."""
+    if model.kind == "replay":
+        vals = model.replay_values
+        return np.array([vals[i % len(vals)] for i in range(n)], dtype=np.int64)
+    out = band_walk_loop(model, n, pyrandom.Random(model.rng_seed))
+    if model.kind == "drop":
+        offset = float(model.transient_start - model.center)
+        for i in range(n):
+            if abs(offset) < 0.5:
+                break
+            v = out[i] + round(offset)
+            out[i] = min(max(v, 0), SAMPLE_MAX)
+            offset *= model.decay
+    elif model.kind == "interference":
+        for i in range(n):
+            v = out[i] + round(model.amplitude * math.sin(2.0 * math.pi * i / model.period))
+            out[i] = min(max(v, 0), SAMPLE_MAX)
+    return np.array(out, dtype=np.int64)
+
+
+def assert_synth_matches_loop(model, n):
+    fast, slow = synth_trace(model, n).values, synth_trace_loop(model, n)
+    assert fast.dtype == slow.dtype
+    assert np.array_equal(fast, slow)
+
+
 def assert_walk_matches_loop(model, n, monkeypatch):
     assert (samples._band_walk(model, n, pyrandom.Random(model.rng_seed))
             == band_walk_loop(model, n, pyrandom.Random(model.rng_seed)))
@@ -375,9 +403,12 @@ def test_band_walk_matches_loop(kind, n, monkeypatch):
 
 
 def random_model(seed):
-    """A band model with each edge case drawn often: no stickiness or full
-    stickiness, no noise or noise as wide as the band, a zero halfwidth, and
-    bands that touch 0 or SAMPLE_MAX."""
+    """A model with each edge case drawn often: no stickiness or full
+    stickiness, no noise or noise as wide as the band, a zero halfwidth,
+    bands that touch 0 or SAMPLE_MAX, rounding ties (amplitude 0.5 or 1.5
+    with period 4), no or a huge amplitude, periods below 1 or past any
+    trace length, decays near 0 or 1, and a transient from either end of
+    the sample range or from the center."""
     r = pyrandom.Random(seed)
     halfwidth = r.choice([0, 1, 2, 3, r.randrange(4, 100)])
     center = r.choice([halfwidth, SAMPLE_MAX - halfwidth,
@@ -389,6 +420,10 @@ def random_model(seed):
         stickiness=r.choice([0.0, 1.0, r.random()]),
         noise_width=r.choice([0, halfwidth, r.randrange(halfwidth + 1)]),
         rng_seed=r.randrange(2**32),
+        amplitude=r.choice([0.0, 0.5, 1.5, 1e300, r.uniform(0, 2000)]),
+        period=r.choice([4.0, 1e15, math.inf, r.uniform(0.01, 1), r.uniform(1, 500)]),
+        decay=r.choice([1e-300, 0.9999999, r.uniform(0.001, 0.9999)]),
+        transient_start=r.choice([0, SAMPLE_MAX, center, r.randrange(SAMPLE_MAX + 1)]),
     )
 
 
@@ -412,6 +447,71 @@ def test_random_models_cover_edge_cases():
     assert any(m.halfwidth == 0 for m in models)
     assert any(m.center - m.halfwidth == 0 for m in models)
     assert any(m.center + m.halfwidth == SAMPLE_MAX for m in models)
+    interference = [m for m in models if m.kind == "interference"]
+    assert {m.amplitude for m in interference} >= {0.0, 0.5, 1.5, 1e300}
+    assert {m.period for m in interference} >= {4.0, 1e15, math.inf}
+    assert any(m.period < 1 for m in interference)
+    drop = [m for m in models if m.kind == "drop"]
+    assert {m.decay for m in drop} >= {1e-300, 0.9999999}
+    assert {m.transient_start for m in drop} >= {0, SAMPLE_MAX}
+    assert any(m.transient_start == m.center for m in drop)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 10**5])
+@pytest.mark.parametrize("kind", README_MODELS)
+def test_synth_matches_loop(kind, n):
+    assert_synth_matches_loop(README_MODELS[kind], n)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_synth_matches_loop_on_random_models(seed):
+    assert_synth_matches_loop(random_model(seed), 2000)
+
+
+def interference(**kwargs):
+    return SynthModel(kind="interference", center=500, halfwidth=10, stickiness=0.5,
+                      noise_width=2, rng_seed=4, **kwargs)
+
+
+def drop(**kwargs):
+    return SynthModel(kind="drop", center=600, halfwidth=20, stickiness=0.5,
+                      noise_width=5, rng_seed=6, **kwargs)
+
+
+ADVERSARIAL_MODELS = {
+    "tie-0.5": interference(amplitude=0.5, period=4.0),      # sin is exactly +-1 at i = 1, 3
+    "tie-1.5": interference(amplitude=1.5, period=4.0),
+    "amplitude-0": interference(amplitude=0.0),
+    "amplitude-1e300": interference(amplitude=1e300),       # the term is past int64's range
+    "period-0.3": interference(amplitude=30.0, period=0.3),
+    "period-1e-200": interference(amplitude=30.0, period=1e-200),
+    "period-1e15": interference(amplitude=1e12, period=1e15),
+    "period-inf": interference(amplitude=30.0, period=math.inf),
+    "decay-1e-300": drop(transient_start=0, decay=1e-300),
+    "decay-0.9999999": drop(transient_start=SAMPLE_MAX, decay=0.9999999),
+    "start-0": drop(transient_start=0, decay=0.99),           # clips at 0
+    "start-1023": drop(transient_start=SAMPLE_MAX, decay=0.99),
+    "start-center": drop(transient_start=600, decay=0.99),
+    # The third offset is -749.5 as the loop folds it, -749.4999999999999 as
+    # offset * cumprod(decay): the two round to different integers.
+    "fold-tie": SynthModel(kind="drop", center=SAMPLE_MAX, halfwidth=0, transient_start=0,
+                           decay=0.8559492224184497),
+    "replay-1": SynthModel(kind="replay", replay_values=(7,)),
+    "replay-long": SynthModel(kind="replay", replay_values=tuple(range(3, 1023))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("name", ADVERSARIAL_MODELS)
+def test_synth_matches_loop_on_adversarial_models(name, n):
+    assert_synth_matches_loop(ADVERSARIAL_MODELS[name], n)
+
+
+def test_interference_phase_overflow_names_period_and_n():
+    model = interference(period=1e-308)
+    assert np.array_equal(synth_trace(model, 1).values, synth_trace_loop(model, 1))
+    with pytest.raises(ValueError, match=re.escape("period 1e-308 is too small for n=2")):
+        synth_trace(model, 2)
 
 
 class TestSynthModels:
