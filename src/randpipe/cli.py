@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -23,6 +24,17 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Mark an OSError raised in the block as a failure to write the output file path."""
+    try:
+        yield
+    except OSError as exc:
+        exc.out_file = path
+        raise
+
+
+_LCG_CHUNK = 1 << 16      # outputs per stream call in lcg; bounds its memory
 # The SynthModel fields that simulate takes as options, in field order.
 _MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay",
                   "amplitude", "period", "noise_width")
@@ -40,7 +52,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.stamp:
         header = (f"model={args.model} n={args.n} rng_seed={args.seed} "
                   f"generated={datetime.now(timezone.utc).isoformat()}")
-    samples.save_trace(trace, args.out, header=header)
+    with _writing(args.out):
+        samples.save_trace(trace, args.out, header=header)
     return 0
 
 
@@ -54,7 +67,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if len(trace) == 0:
         raise extract.InsufficientSamplesError(f"{args.infile}: no samples")
     bits = extract.extract(trace, cfg)
-    extract.write_bits(bits, args.out)
+    with _writing(args.out):
+        extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
     print(f"samples-in: {len(trace)}")
     print(f"bits-out: {bits.size}")
@@ -77,7 +91,8 @@ def cmd_fipstest(args: argparse.Namespace) -> int:
 def cmd_intbits(args: argparse.Namespace) -> int:
     trace = samples.load_trace(args.infile)
     bits = fips.ints_to_bits(trace)
-    extract.write_bits(bits, args.out)
+    with _writing(args.out):
+        extract.write_bits(bits, args.out)
     print(f"samples-in: {len(trace)}")
     print(f"bits-out: {bits.size}")
     return 0
@@ -85,8 +100,12 @@ def cmd_intbits(args: argparse.Namespace) -> int:
 
 def cmd_lcg(args: argparse.Namespace) -> int:
     # One write per line, not one for all: under `python -u` a single large
-    # write to a pipe its reader closes ends partway with no error.
-    sys.stdout.writelines(f"{v}\n" for v in avrprng.stream(args.seed, args.count))
+    # write to a pipe its reader closes ends partway with no error. Each chunk
+    # goes on from the last output x of the one before, as srandom(x) == x.
+    seed, left = args.seed, args.count
+    while chunk := avrprng.stream(seed, min(left, _LCG_CHUNK)):
+        sys.stdout.writelines(f"{v}\n" for v in chunk)
+        seed, left = chunk[-1], left - len(chunk)
     return 0
 
 
@@ -115,7 +134,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     st = samples.trace_stats(samples.load_trace(args.infile))
     seen = st.counts.nonzero()[0]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("value,count\n" + "".join(
             f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist())))
     print(f"samples: {st.total}")
@@ -218,9 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     whole parser runs only if argv names none or arguments are left over.
 
     Reads turn OSError into a format error, so an OSError that reaches
-    here comes from writing: to the subcommand's output file, or to a
-    stdout pipe whose reader has gone. The latter exits 1 without a
-    message, as a reader that stops early is not an error to report.
+    here comes from writing: to the output file, as `_writing` marks it,
+    or else to stdout. A stdout pipe whose reader has gone exits 1 without
+    a message, as a reader that stops early is not an error to report.
     """
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
@@ -242,10 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             os.close(null)
         return 1
     except OSError as exc:
-        out = getattr(args, "out", None)
-        if out is None:
-            raise
-        _err(f"cannot write {out}: {exc}")
+        _err(f"cannot write {getattr(exc, 'out_file', '<stdout>')}: {exc}")
         return 1
 
 

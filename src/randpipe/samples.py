@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import random as _pyrandom
 from dataclasses import dataclass, field
-from math import isfinite
+from math import ceil, isfinite, log
 from os import PathLike
 
 import numpy as np
@@ -185,13 +185,19 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
         arr = np.array(_band_walk(model, n, _pyrandom.Random(model.rng_seed)), dtype=np.int64)
     if model.kind == "drop":
         # offset, offset*decay, ... as a loop folds it: offset * cumprod(decay) rounds differently.
-        term = np.multiply.accumulate(np.append(model.transient_start - model.center,
-                                                np.full(n - 1, model.decay)))
+        # |term| never grows and np.rint makes it 0 once it is <= 0.5, so the fold stops
+        # there: just past where log puts that term if it is small enough, else at n.
+        offset = model.transient_start - model.center
+        stop = min(n, ceil(log(0.5 / abs(offset)) / log(model.decay)) + 2) if offset else 1
+        for stop in (stop, n):
+            term = np.multiply.accumulate(np.append(offset, np.full(stop - 1, model.decay)))
+            if abs(term[-1]) <= 0.5 or stop == n:
+                break
     elif model.kind == "interference":
         term = model.amplitude * np.sin(2.0 * np.pi * np.arange(n) / model.period)
     if model.kind in ("drop", "interference"):
         # In floats, so that a term beyond int64's range still saturates.
-        arr = np.clip(arr + np.rint(term), 0, SAMPLE_MAX).astype(np.int64)
+        arr[:term.size] = np.clip(arr[:term.size] + np.rint(term), 0, SAMPLE_MAX)
     arr.flags.writeable = False          # nothing else holds it: no copy needed
     return SampleTrace(arr)
 

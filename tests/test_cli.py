@@ -1,17 +1,20 @@
 import dataclasses
+import errno
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randpipe import cli, samples
+from randpipe import cli, crack, samples
 from randpipe.avrprng import stream
 from randpipe.cli import main
-from randpipe.crack import CrackConfig
+from randpipe.crack import CrackConfig, CrackResult
 from randpipe.extract import ExtractorConfig, read_bits
 from randpipe.samples import SampleTrace, SynthModel, load_trace, synth_trace
 
@@ -467,6 +470,26 @@ class TestLcg:
         assert run("lcg", "--seed", "3", "--count", "-1") == 2
         assert stderr_of(capsys) == "error: count must be non-negative\n"
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._LCG_CHUNK + 1])
+    @pytest.mark.parametrize("seed", [0, 338, 2**31 - 2])
+    def test_chunks_continue_the_stream(self, capsys, seed, extra):
+        count = cli._LCG_CHUNK + extra
+        assert run("lcg", "--seed", str(seed), "--count", str(count)) == 0
+        assert capsys.readouterr() == ("".join(f"{v}\n" for v in stream(seed, count)), "")
+
+    def test_memory_does_not_grow_with_count(self, monkeypatch):
+        monkeypatch.setattr(cli, "_LCG_CHUNK", 1000)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                assert run("lcg", "--seed", "1", "--count", "100000") == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # A list of all 10^5 outputs alone takes over 3 MB.
+        assert peak < 1_000_000
+
 
 class TestCrack:
     def make_instance(self, tmp_path, seed=338, d=37):
@@ -554,6 +577,13 @@ class TestCrack:
                    "--samples", str(samples_file)) == 2
         assert stderr_of(capsys) == f"error: {seq_file}: no observed values\n"
 
+    def test_candidate_failing_verification(self, tmp_path, capsys, monkeypatch):
+        # verify_seed rejects a search result whose offset is not where the window sits.
+        seq_file, samples_file = self.make_instance(tmp_path, seed=338, d=37)
+        monkeypatch.setattr(crack, "find_seed", lambda seq, cfg, trace: CrackResult(
+            seed=338, offset=36, total_steps=1))
+        assert run("crack", "--sequence", str(seq_file), "--samples", str(samples_file)) == 1
+        assert stderr_of(capsys) == "error: candidate seed 338 failed verification\n"
 
     def test_window_not_an_arc(self, tmp_path, capsys):
         # No candidate stream holds a window whose values are not
@@ -835,6 +865,57 @@ def test_unwritable_output(tmp_path, capsys, argv):
     err = stderr_of(capsys)
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_output_file(tmp_path, capsys):
+    # A write that fails after open() succeeds names the file, as an open() failure does.
+    trace_file = tmp_path / "t.txt"
+    write_lines(trace_file, [0, 1] * 50)
+    assert run("intbits", "--in", str(trace_file), "--out", "/dev/full") == 1
+    assert stderr_of(capsys) == (
+        "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+
+
+class FullStdout(io.StringIO):
+    """A stdout whose write or flush fails as a full disk does."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def fail(self, name):
+        if name == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self.fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self.fail("flush")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["extract", "--in", "TRACE", "--algo", "leastsign", "--out", "OUT"],
+    ["intbits", "--in", "TRACE", "--out", "OUT"],
+    ["stats", "--in", "TRACE", "--hist-out", "OUT"],
+    ["lcg", "--seed", "1", "--count", "5"],
+], ids=lambda argv: argv[0])
+def test_failed_stdout_write_names_stdout(tmp_path, capsys, monkeypatch, argv, failing):
+    trace_file, out = tmp_path / "t.txt", tmp_path / "out.txt"
+    write_lines(trace_file, [0, 1] * 50)
+    argv = [{"TRACE": str(trace_file), "OUT": str(out)}.get(a, a) for a in argv]
+    assert run(*argv) == 0
+    expected = out.read_bytes() if out.exists() else None
+    capsys.readouterr()
+    out.unlink(missing_ok=True)
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write <stdout>: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert (out.read_bytes() if out.exists() else None) == expected
 
 
 def crlf_open(file, mode="r", *args, **kwargs):

@@ -1,5 +1,4 @@
 import ast
-import sys
 from pathlib import Path
 
 import pytest
@@ -11,21 +10,11 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
-def test_exported_names_resolve():
-    assert len(set(randpipe.__all__)) == len(randpipe.__all__)
-    for name in randpipe.__all__:
-        assert getattr(randpipe, name, None) is not None, name
-
-
-def test_star_import_binds_exactly_all():
-    namespace = {}
-    exec("from randpipe import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(randpipe.__all__)
-
-
-def test_star_import_shadows_no_stdlib_module():
-    assert sorted(set(randpipe.__all__) & sys.stdlib_module_names) == []
+def test_init_defines_nothing():
+    """__init__.py is its docstring alone: each public name has one import path, its module's."""
+    tree = ast.parse(Path(randpipe.__file__).read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
 
 
 def unread_api(modules, readers=()):
@@ -52,9 +41,8 @@ def unread_api(modules, readers=()):
 
 def test_no_unread_api():
     """Every public function, class, method and property in src/ is read by the package
-    or by the benchmark. __init__.py's re-exports and the tests do not count."""
-    modules = {path.stem: path.read_text(encoding="utf-8")
-               for path in MODULES if path.name != "__init__.py"}
+    or by the benchmark. The tests do not count."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = [path.read_text(encoding="utf-8") for path in PERFBENCH]
     assert readers
     assert unread_api(modules, readers) == []
@@ -74,7 +62,7 @@ def test_unread_api_check_sees_each_form():
 
 
 def unused_imports(source):
-    """Names a module imports and never reads; a string in __all__ counts as a read."""
+    """Names a module imports and never reads."""
     tree = ast.parse(source)
     imported = {}
     used = set()
@@ -86,9 +74,6 @@ def unused_imports(source):
             imported.update((a.asname or a.name, node.lineno) for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(elt.value for elt in node.value.elts)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -174,5 +159,5 @@ def test_unused_import_check_sees_each_form():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\n"
               "from dataclasses import dataclass, field\nfrom . import crack as c\n"
-              "__all__ = ['dataclass']\nnp.zeros(1)\n")
+              "__all__ = ['field']\ndataclass(np.zeros)\n")
     assert unused_imports(source) == [(2, "os"), (4, "field"), (5, "c")]

@@ -496,6 +496,12 @@ ADVERSARIAL_MODELS = {
     # offset * cumprod(decay): the two round to different integers.
     "fold-tie": SynthModel(kind="drop", center=SAMPLE_MAX, halfwidth=0, transient_start=0,
                            decay=0.8559492224184497),
+    # The last terms above 0.5: the fold stops just past them.
+    "half-up": drop(transient_start=601, decay=0.5000000000000001),
+    "half-down": drop(transient_start=599, decay=0.5000000000000001),
+    "half-tie": drop(transient_start=601, decay=0.5),
+    "half-at-500": SynthModel(kind="drop", center=23, halfwidth=3, transient_start=SAMPLE_MAX,
+                              decay=0.9849131592259058),     # term 500 is 0.5000000000000082
     "replay-1": SynthModel(kind="replay", replay_values=(7,)),
     "replay-long": SynthModel(kind="replay", replay_values=tuple(range(3, 1023))),
 }
@@ -505,6 +511,14 @@ ADVERSARIAL_MODELS = {
 @pytest.mark.parametrize("name", ADVERSARIAL_MODELS)
 def test_synth_matches_loop_on_adversarial_models(name, n):
     assert_synth_matches_loop(ADVERSARIAL_MODELS[name], n)
+
+
+@pytest.mark.parametrize("model", [README_MODELS["drop"], ADVERSARIAL_MODELS["half-at-500"],
+                                   ADVERSARIAL_MODELS["decay-0.9999999"]],
+                         ids=["readme", "half-at-500", "decay-0.9999999"])
+def test_drop_folds_to_n_when_the_estimate_falls_short(model, monkeypatch):
+    monkeypatch.setattr(samples, "ceil", lambda x: 0)
+    assert_synth_matches_loop(model, 1000)
 
 
 def test_interference_phase_overflow_names_period_and_n():
