@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import math
 import os
@@ -110,29 +111,30 @@ def cmd_lcg(args: argparse.Namespace) -> int:
 
 
 def cmd_crack(args: argparse.Namespace) -> int:
-    # Python ints: the searches and verify_seed each check every value.
+    # Python ints: find_seed and verify_seed each check every value.
     seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1).tolist()
     trace = samples.load_trace(args.samples)
     cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
     if not seq:
         raise ValueError(f"{args.sequence}: no observed values")
-    search = crack.find_seed_opt if args.optimized else crack.find_seed
-    result = search(seq, cfg, trace)
+    result = crack.find_seed(seq, cfg if args.optimized else dataclasses.replace(cfg, t=1), trace)
     if args.stats:
         print(f"stats: total-steps={result.total_steps}")
     if result.seed is None:
         _err(f"seed not found within {cfg.max_total_steps} steps")
         return 1
-    offset = crack.verify_seed(result.seed, seq, result.offset)
-    if offset is None:
+    if not crack.verify_seed(result.seed, seq, result.offset):
         _err(f"candidate seed {result.seed} failed verification")
         return 1
-    print(f"seed={result.seed} offset={offset}")
+    print(f"seed={result.seed} offset={result.offset}")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    st = samples.trace_stats(samples.load_trace(args.infile))
+    trace = samples.load_trace(args.infile)
+    if len(trace) == 0:
+        raise extract.InsufficientSamplesError(f"{args.infile}: no samples")
+    st = samples.trace_stats(trace)
     seen = st.counts.nonzero()[0]
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("value,count\n" + "".join(

@@ -92,7 +92,6 @@ def _subgroups() -> list[tuple[int, int, dict[int, int]]]:
     return tables
 
 
-@functools.lru_cache(maxsize=1)    # a crack job's search and its verify_seed take the same one
 def _dlog(y: int) -> int:
     """The e in [0, GROUP_ORDER) with 16807^e = y mod MODULUS, for y in [1, MODULUS - 1]."""
     return sum(w * logs[pow(y, c, MODULUS)] for c, w, logs in _subgroups()) % GROUP_ORDER
@@ -115,14 +114,13 @@ def _seed_logs() -> np.ndarray:
 
 def _offsets(first: int) -> np.ndarray:
     """[i]: the smallest offset of a window starting with `first` in seed i's stream."""
-    logs = _seed_logs()      # first: building it would evict first's logarithm
-    return (_dlog(first) - logs - 1) % GROUP_ORDER
+    return (_dlog(first) - _seed_logs() - 1) % GROUP_ORDER
 
 
-def _search(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
-            optimized: bool) -> CrackResult:
-    """The outcome of the round-robin search, from each candidate's offset.
+def find_seed(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
+    """The outcome of the round-robin search over the seeds as `trace` ranks them.
 
+    Observed candidates get t times the quota m + k, so t = 1 is the plain search.
     Phase 1 fills candidates' windows in order and stops at the first that
     equals the sequence. Each phase-2 round slides every window in order
     by up to its quota, stopping at a match, so a window first matching at
@@ -138,7 +136,7 @@ def _search(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
     order = np.argsort(-counts, kind="stable")
     observed = int(np.count_nonzero(counts))
     base = cfg.m + k
-    extra = (cfg.t - 1) * base if optimized else 0   # added to observed candidates' quotas
+    extra = (cfg.t - 1) * base    # added to observed candidates' quotas
 
     def round_steps(i: int) -> int:
         """The steps a phase-2 round spends on candidates order[:i]."""
@@ -174,33 +172,17 @@ def _search(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
     return CrackResult(seed=None, offset=None, total_steps=total + (last_round + 1) * q)
 
 
-def find_seed(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
-    """Round-robin search over the seeds as `trace` ranks them, equal budgets per visit."""
-    return _search(s, cfg, trace, optimized=False)
+def verify_seed(g: int, s: Sequence[int], offset: int) -> bool:
+    """Whether stream(g) outputs offset+1..offset+k equal s.
 
-
-def find_seed_opt(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
-    """Weighted search: candidates observed in `trace` get t times the visit budget."""
-    return _search(s, cfg, trace, optimized=True)
-
-
-def verify_seed(g: int, s: Sequence[int], max_offset: int) -> int | None:
-    """Smallest c <= max_offset with stream(g) outputs c+1..c+k equal to s.
-
-    Independent post-check for search results. The logarithms name the
-    only offset c in [0, 2^31 - 2) where the window can start, and the
-    stream is regenerated there, so a wrong logarithm can only reject,
-    never accept. The stream is one cycle, so no smaller offset matches.
+    Independent post-check for search results: it regenerates the window
+    at the claimed offset and takes no logarithm.
     """
-    if _as_int(max_offset) < 0:
-        raise ValueError("max_offset must be >= 0")
+    offset = _as_int(offset)
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
     vals = _checked_sequence(s)
-    x = srandom(g)
-    log_x = int(_seed_logs()[x]) if x < SEED_SPACE else _dlog(x)
-    c = (_dlog(vals[0]) - log_x - 1) % GROUP_ORDER
-    if c <= max_offset and stream(x * pow(MULTIPLIER, c, MODULUS), len(vals)) == vals:
-        return c
-    return None
+    return stream(srandom(g) * pow(MULTIPLIER, offset, MODULUS), len(vals)) == vals
 
 
 def audit_candidate_streams(

@@ -50,13 +50,14 @@ class SampleTrace:
         arr = np.asarray(self.values)
         if arr.size and arr.dtype.kind not in "iu":
             raise ValueError(f"trace values must be integers, not {arr.dtype}")
-        # Freeze a copy of the caller's array unless nothing can write its memory.
-        arr = arr.astype(np.int64, copy=arr is self.values and not _frozen(arr))
         if arr.ndim != 1:
             raise ValueError("trace values must be one-dimensional")
+        # On the input's own dtype, so the message shows the value as given.
         if arr.size and (arr.min() < 0 or arr.max() > SAMPLE_MAX):
             bad = arr[(arr < 0) | (arr > SAMPLE_MAX)][0]
             raise ValueError(f"sample value {bad} outside [0, {SAMPLE_MAX}]")
+        # Freeze a copy of the caller's array unless nothing can write its memory.
+        arr = arr.astype(np.int64, copy=arr is self.values and not _frozen(arr))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

@@ -1,10 +1,11 @@
-"""Slow reference implementations of randpipe.crack's ranking, search and audit.
+"""Slow reference implementations of randpipe.crack's ranking, search, post-check and audit.
 
 `prob_dist_sort` ranks the candidates with a Python sort, `search_loop`
 is the round-robin search over that ranking, stepping every candidate's
-stream one output at a time, and `audit_scan` generates all 1024
-candidate streams block by block. They are the definitions the numpy and closed-form code in
-randpipe.crack must reproduce field for field.
+stream one output at a time, `verify_scan` steps one stream to a window,
+and `audit_scan` generates all 1024 candidate streams block by block.
+They are the definitions the numpy and closed-form code in randpipe.crack
+must reproduce field for field.
 
 Window slides restore generator state from the window's newest element:
 for this generator the next output is a function of the previous output
@@ -42,8 +43,7 @@ def prob_dist_sort(trace: SampleTrace) -> tuple[list[int], int]:
     return observed + unobserved, len(observed)
 
 
-def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
-                optimized: bool) -> CrackResult:
+def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
     vals = _checked_sequence(s)
     k = len(vals)
     s_dq = deque(vals)
@@ -51,10 +51,7 @@ def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
     order, observed = prob_dist_sort(trace)
     mult, mod = MULTIPLIER, MODULUS
     base = cfg.m + k
-    if optimized:
-        quotas = [cfg.t * base] * observed + [base] * (len(order) - observed)
-    else:
-        quotas = [base] * len(order)
+    quotas = [cfg.t * base] * observed + [base] * (len(order) - observed)
 
     # Phase 1: fill a k-window per candidate and test for a direct match.
     windows: list[deque] = []
@@ -108,18 +105,19 @@ def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace,
             return CrackResult(seed=None, offset=None, total_steps=total)
 
 
-def verify_scan(g: int, s: Sequence[int], max_offset: int) -> int | None:
-    """Smallest c <= max_offset with stream(g) outputs c+1..c+k equal to s."""
+def verify_scan(g: int, s: Sequence[int], offset: int) -> bool:
+    """Whether stream(g) outputs offset+1..offset+k equal s.
+
+    16807^(M - 1) = 1 mod the prime M = 2^31 - 1, so every stream repeats
+    after M - 1 outputs; offsets are reduced by whole cycles, then stepped.
+    """
     vals = [int(v) for v in s]
-    k = len(vals)
     x = g % MODULUS or 1
     out = []
-    for c in range(max_offset + k):
+    for _ in range(offset % (MODULUS - 1) + len(vals)):
         x = (MULTIPLIER * x) % MODULUS
         out.append(x)
-        if c + 1 >= k and out[c + 1 - k:c + 1] == vals:
-            return c + 1 - k
-    return None
+    return out[len(out) - len(vals):] == vals
 
 
 def audit_scan(

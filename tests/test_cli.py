@@ -523,6 +523,14 @@ class TestCrack:
         assert plain == opt
         assert "stats: total-steps=" in plain
 
+    @pytest.mark.parametrize("flags", [[], ["--optimized"]], ids=["plain", "optimized"])
+    def test_t_checked_without_optimized(self, tmp_path, capsys, flags):
+        # The plain search runs at t = 1, but --t is still checked.
+        seq_file, samples_file = self.make_instance(tmp_path)
+        assert run("crack", "--sequence", str(seq_file),
+                   "--samples", str(samples_file), "--t", "0", *flags) == 2
+        assert stderr_of(capsys) == "error: t must be >= 1\n"
+
     def test_malformed_sequence(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
         seq_file.write_text("16807\n0\n")          # 0 is not a valid output
@@ -626,8 +634,8 @@ class TestStats:
         assert stderr_of(capsys) == f"error: {trace_file}: line 2: value -1 outside [0, 1023]\n"
         trace_file.write_text("# header only\n")
         assert run("stats", "--in", str(trace_file),
-                   "--hist-out", str(tmp_path / "h.csv")) == 2
-        assert stderr_of(capsys) == "error: empty trace\n"
+                   "--hist-out", str(tmp_path / "h.csv")) == 1
+        assert stderr_of(capsys) == f"error: {trace_file}: no samples\n"
         assert not (tmp_path / "h.csv").exists()
 
 

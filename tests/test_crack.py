@@ -1,18 +1,17 @@
 import random as pyrandom
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from randpipe import crack
 from randpipe.avrprng import MODULUS, stream
 from randpipe.crack import (
     GROUP_ORDER,
     SEED_SPACE,
     CrackConfig,
-    _dlog,
-    _seed_logs,
     audit_candidate_streams,
     find_seed,
-    find_seed_opt,
     verify_seed,
 )
 from randpipe.samples import SampleTrace
@@ -42,13 +41,13 @@ def search_ranks(capture, seeds, k=2):
 
 
 def search_observed(capture, k=2):
-    """The number of observed values, read off one optimized phase-2 round.
+    """The number of observed values, read off one weighted phase-2 round.
 
     A window that is no arc is never found, so a budget of 1024*k steps
     ends the search after round 0, whose quotas weigh observed candidates t times.
     """
     cfg = CrackConfig(m=1, t=4, max_total_steps=1024 * k)
-    total = find_seed_opt([1] * k, cfg, capture).total_steps
+    total = find_seed([1] * k, cfg, capture).total_steps
     q = total - 1024 * k
     assert q % (cfg.m + k) == 0
     return (q // (cfg.m + k) - 1024) // (cfg.t - 1)
@@ -146,11 +145,11 @@ class TestNonIntegerInputs:
            "True": [True] * 5, "False": [False] * 5, "np.True_": [np.True_] * 5,
            "None": [None] * 5}
 
-    @pytest.mark.parametrize("search", [find_seed, find_seed_opt])
+    @pytest.mark.parametrize("t", [1, 4], ids=["t1", "t4"])
     @pytest.mark.parametrize("bad", BAD)
-    def test_search_rejects(self, search, bad):
+    def test_search_rejects(self, t, bad):
         with pytest.raises(TypeError):
-            search(self.BAD[bad], CrackConfig(), band_trace())
+            find_seed(self.BAD[bad], CrackConfig(t=t), band_trace())
 
     @pytest.mark.parametrize("bad", BAD)
     def test_verify_and_audit_reject(self, bad):
@@ -171,7 +170,7 @@ class TestNonIntegerInputs:
     def test_numpy_integers_accepted(self):
         window = np.array(self.WINDOW)
         assert find_seed(window, CrackConfig(), band_trace()).seed == 338
-        assert verify_seed(338, window, np.int64(0)) == 0
+        assert verify_seed(338, window, np.int64(0)) is True
         assert (338, 0) in audit_candidate_streams([window], horizon=10)[0]
 
 
@@ -184,15 +183,17 @@ class TestFindSeed:
 
     def test_offset_three(self):
         s = stream(777, 103)[3:]
-        result = find_seed(s, CrackConfig(m=100), trace([777]))
-        assert result.seed == 777
-        assert result.offset == 3
-        assert verify_seed(result.seed, s, 10) == 3
+        for t in (1, 4):
+            result = find_seed(s, CrackConfig(m=100, t=t), trace([777]))
+            assert result.seed == 777
+            assert result.offset == 3
+            assert verify_seed(result.seed, s, 3) is True
 
     def test_budget_exhaustion(self):
-        result = find_seed([1], CrackConfig(m=100, max_total_steps=1024), trace([]))
-        assert result.seed is None and result.offset is None
-        assert result.total_steps > 1024
+        for t in (1, 4):
+            result = find_seed([1], CrackConfig(m=100, t=t, max_total_steps=1024), trace([]))
+            assert result.seed is None and result.offset is None
+            assert result.total_steps > 1024
 
     def test_unobserved_seed_still_found(self):
         # 700 never appears in the sample trace, so it ranks in the
@@ -200,9 +201,10 @@ class TestFindSeed:
         capture = band_trace()
         assert 700 not in capture.values
         s = stream(700, 105)[5:]
-        result = find_seed(s, CrackConfig(m=100), capture)
-        assert result.seed == 700
-        assert result.offset == 5
+        for t in (1, 4):
+            result = find_seed(s, CrackConfig(m=100, t=t), capture)
+            assert result.seed == 700
+            assert result.offset == 5
 
     def test_soundness_random_trials(self):
         rng = pyrandom.Random(73)
@@ -211,16 +213,18 @@ class TestFindSeed:
             d = rng.randint(1, 400)
             g = rng.choice((338, 335, 337, 340))
             s = stream(g, d + 60)[d:]
-            result = find_seed(s, CrackConfig(m=50), capture)
-            assert result.seed is not None
-            assert verify_seed(result.seed, s, result.offset) == result.offset
+            for t in (1, 4):
+                result = find_seed(s, CrackConfig(m=50, t=t), capture)
+                assert result.seed is not None
+                assert verify_seed(result.seed, s, result.offset) is True
 
     def test_determinism(self):
         capture = band_trace()
         s = stream(338, 350)[250:]
-        a = find_seed(s, CrackConfig(m=50), capture)
-        b = find_seed(s, CrackConfig(m=50), capture)
-        assert (a.seed, a.offset, a.total_steps) == (b.seed, b.offset, b.total_steps)
+        for t in (1, 4):
+            a = find_seed(s, CrackConfig(m=50, t=t), capture)
+            b = find_seed(s, CrackConfig(m=50, t=t), capture)
+            assert (a.seed, a.offset, a.total_steps) == (b.seed, b.offset, b.total_steps)
 
     def test_rejects_invalid_sequence_values(self):
         capture = trace([])
@@ -231,31 +235,35 @@ class TestFindSeed:
         with pytest.raises(ValueError):
             find_seed([], CrackConfig(), capture)
 
-
-class TestFindSeedOpt:
     def test_t1_schedule_identical_to_plain(self):
+        # At t = 1 every candidate gets the quota m + k, so which values the
+        # trace holds counts only through the order. Both captures rank 338,
+        # 335, 337 and 340 first and the rest ascending; one holds all 1024.
         capture = band_trace()
-        s = stream(335, 400)[300:]   # forces phase 2
-        plain = find_seed(s, CrackConfig(m=50, t=4), capture)
-        opt = find_seed_opt(s, CrackConfig(m=50, t=1), capture)
-        assert plain.seed == opt.seed
-        assert plain.offset == opt.offset
-        assert plain.total_steps == opt.total_steps
+        everything = trace(capture.values.tolist() + list(range(SEED_SPACE)))
+        s = stream(335, 800)[700:]   # round 1 even at t = 4
+        plain = find_seed(s, CrackConfig(m=50, t=1), capture)
+        assert fields(plain) == fields(find_seed(s, CrackConfig(m=50, t=1), everything))
+        assert fields(plain) == fields(search_loop(s, CrackConfig(m=50, t=1), capture))
+        assert (plain.seed, plain.offset) == (335, 700)
+        weighted = [find_seed(s, CrackConfig(m=50, t=4), c) for c in (capture, everything)]
+        assert weighted[0].total_steps != weighted[1].total_steps
 
     def test_observed_seed_needs_no_more_slides(self):
         capture = band_trace()
         g = 337
         s = stream(g, 700)[600:]
-        plain = find_seed(s, CrackConfig(m=50), capture)
-        opt = find_seed_opt(s, CrackConfig(m=50, t=4), capture)
-        assert plain.seed == g and opt.seed == g
-        assert opt.offset == plain.offset
-        assert opt.total_steps <= plain.total_steps
+        plain = find_seed(s, CrackConfig(m=50, t=1), capture)
+        weighted = find_seed(s, CrackConfig(m=50, t=4), capture)
+        assert plain.seed == g and weighted.seed == g
+        assert weighted.offset == plain.offset
+        assert weighted.total_steps <= plain.total_steps
 
-    def test_unobserved_seed_completeness(self):
+    @pytest.mark.parametrize("t", [1, 4], ids=["t1", "t4"])
+    def test_unobserved_seed_completeness(self, t):
         capture = band_trace()
         s = stream(901, 104)[4:]
-        result = find_seed_opt(s, CrackConfig(m=100, t=4), capture)
+        result = find_seed(s, CrackConfig(m=100, t=t), capture)
         assert result.seed == 901
         assert result.offset == 4
 
@@ -267,7 +275,7 @@ def result_types(result):
 class TestResultTypes:
     """seed, offset and total_steps are Python ints (or None) on every path."""
 
-    @pytest.mark.parametrize("search", [find_seed, find_seed_opt])
+    @pytest.mark.parametrize("t", [1, 4], ids=["t1", "t4"])
     @pytest.mark.parametrize("window,budget,offset", [
         (stream(881, 5), 10**9, 0),                       # phase-1 hit
         (stream(700, 300)[295:], 10**9, 295),             # phase-2 hit
@@ -275,8 +283,8 @@ class TestResultTypes:
         (stream(700, 300)[295:], 1024 * 5 + 1, None),     # out in phase 2
         (stream(700, 300)[295:-1] + [1], 10**9, None),    # not an arc
     ], ids=["phase-1", "phase-2", "budget-phase-1", "budget-phase-2", "non-arc"])
-    def test_python_ints(self, search, window, budget, offset):
-        result = search(window, CrackConfig(m=1, max_total_steps=budget), band_trace(881))
+    def test_python_ints(self, t, window, budget, offset):
+        result = find_seed(window, CrackConfig(m=1, t=t, max_total_steps=budget), band_trace(881))
         assert result.offset == offset
         if offset is None:
             assert result_types(result) == (type(None), type(None), int)
@@ -287,40 +295,40 @@ class TestResultTypes:
 class TestHugeQuotas:
     """Quotas whose round sum passes int64 still count steps exactly."""
 
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_winner_and_budget(self, optimized):
+    @pytest.mark.parametrize("t", [1, 4], ids=["t1", "t4"])
+    def test_winner_and_budget(self, t):
         # A quota of at least 2^31 - 2 covers a whole stream, so the first
         # candidate wins in its first visit, wherever its window lies.
         capture = band_trace()
-        k, weight = 3, 4 if optimized else 1
-        cfg = CrackConfig(m=2**62, t=4, max_total_steps=1024 * k)
-        search = find_seed_opt if optimized else find_seed
+        k = 3
+        cfg = CrackConfig(m=2**62, t=t, max_total_steps=1024 * k)
         s = stream(700, 5 + k)[5:]
-        result = search(s, cfg, capture)
+        result = find_seed(s, cfg, capture)
         assert result.seed == 338
-        assert verify_seed(result.seed, s, result.offset) == result.offset
+        assert verify_seed(result.seed, s, result.offset) is True
         assert result.total_steps == 1024 * k + result.offset
-        result = search(broken(s, pyrandom.Random(3)), cfg, capture)
+        result = find_seed(broken(s, pyrandom.Random(3)), cfg, capture)
         assert result.seed is None
-        assert result.total_steps == 1024 * k + (cfg.m + k) * (weight * 4 + 1024 - 4)
+        assert result.total_steps == 1024 * k + (cfg.m + k) * (t * 4 + 1024 - 4)
 
 
 class TestVerifySeed:
     def test_offset_zero(self):
         s = stream(42, 20)
-        assert verify_seed(42, s, 0) == 0
+        assert verify_seed(42, s, 0) is True
 
     def test_unrelated_seed_none(self):
         s = stream(42, 20)
-        assert verify_seed(43, s, 5) is None
+        assert verify_seed(43, s, 0) is False
         # Every window recurs in every stream; seed 43's holds this one
-        # 504370384 outputs in. Neither answer scans the offsets before it.
-        assert verify_seed(43, s, 10**8) is None
-        assert verify_seed(43, s, 10**9) == 504370384
+        # 504370384 outputs in, and verify_seed steps none of those before it.
+        assert verify_seed(43, s, 504370384) is True
+        assert verify_seed(43, s, 504370383) is verify_seed(43, s, 504370385) is False
 
     def test_smallest_offset_returned(self):
         s = stream(99, 130)[30:]
-        assert verify_seed(99, s, 1000) == 30
+        assert verify_seed(99, s, 30) is True
+        assert not any(verify_seed(99, s, c) for c in range(30))
 
     def test_window_slides_match_direct_generation(self):
         # the slide mechanics must agree with plain stream slicing
@@ -330,24 +338,25 @@ class TestVerifySeed:
             j = rng.randrange(0, 500)
             k = rng.randrange(1, 30)
             s = stream(g, j + k)[j:]
-            assert verify_seed(g, s, j) == j
+            assert verify_seed(g, s, j) is True
 
     def test_rejects_negative_max_offset(self):
         with pytest.raises(ValueError):
             verify_seed(1, [16807], -1)
 
-    def test_search_and_verify_share_one_logarithm(self):
-        # The search takes the logarithm of the window's first value, and
-        # verify_seed reuses it; a seed below 1024 has its own in the seed
-        # table. Building that table first costs one per prime below 1024.
-        s = stream(777, 103)[3:]
-        for table_logs in (172, 0):
-            if table_logs:
-                _seed_logs.cache_clear()
-            _dlog.cache_clear()
-            result = find_seed(s, CrackConfig(), trace([777]))
-            assert verify_seed(result.seed, s, result.offset) == 3
-            assert _dlog.cache_info().misses == 1 + table_logs
+    def test_takes_no_logarithm(self, monkeypatch):
+        # The post-check is independent of the search's logarithms.
+        def no_logarithm(*args):
+            raise AssertionError("verify_seed took a logarithm")
+
+        monkeypatch.setattr(crack, "_dlog", no_logarithm)
+        monkeypatch.setattr(crack, "_seed_logs", no_logarithm)
+        for g in (777, 5, 2**40):
+            s = stream(g, 103)[3:]
+            assert verify_seed(g, s, 3) is True
+            assert verify_seed(g, s, 4) is False
+            assert verify_seed(g + 1, s, 3) is False
+            assert verify_seed(g, broken(s, pyrandom.Random(g)), 3) is False
 
     def test_rejects_negative_seed(self):
         # -5 and 2^31 - 6 are congruent mod 2^31 - 1; srandom refuses the former
@@ -393,8 +402,9 @@ def fields(result):
 
 
 def assert_matches_loop(s, cfg, capture, optimized):
-    search = find_seed_opt if optimized else find_seed
-    assert fields(search(s, cfg, capture)) == fields(search_loop(s, cfg, capture, optimized))
+    """find_seed against the loop with cfg as `crack` runs it: t = 1 without --optimized."""
+    cfg = cfg if optimized else replace(cfg, t=1)
+    assert fields(find_seed(s, cfg, capture)) == fields(search_loop(s, cfg, capture))
 
 
 def round_steps(k, cfg, capture, optimized):
@@ -413,7 +423,7 @@ def broken(window, rng):
 
 
 class TestClosedFormAgainstLoop:
-    """find_seed/find_seed_opt against the stepped round-robin search."""
+    """find_seed against the stepped round-robin search."""
 
     def test_random_instances(self):
         rng = pyrandom.Random(83)
@@ -517,26 +527,25 @@ class TestVerifySeedAgainstScan:
             d = rng.randrange(0, 400)
             k = rng.choice((1, 3, 20))
             s = stream(g, d + k)[d:]
-            for max_offset in (d, d + rng.randint(1, 50), max(d - 1, 0)):
-                assert verify_seed(g, s, max_offset) == verify_scan(g, s, max_offset)
+            for offset in (d, d + 1, max(d - 1, 0), d + rng.randint(1, 50)):
+                assert verify_seed(g, s, offset) is verify_scan(g, s, offset)
             other = rng.randrange(1024)
-            assert verify_seed(other, s, d) == verify_scan(other, s, d)
+            assert verify_seed(other, s, d) is verify_scan(other, s, d)
             if k > 1:
                 b = broken(s, rng)
-                assert verify_seed(g, b, d) is None
-                assert verify_scan(g, b, d) is None
+                assert verify_seed(g, b, d) is verify_scan(g, b, d) is False
 
     def test_seeds_past_the_seed_table(self):
-        # A state from 1024 up takes its own logarithm; MODULUS + 700 and
-        # MODULUS reduce to states 700 and 1, which the table holds.
+        # MODULUS + 700 and MODULUS reduce to states 700 and 1.
         for g in (1024, 10**9, MODULUS - 1, MODULUS, MODULUS + 700, 2**40):
             s = stream(g, 57)[50:]
-            assert verify_seed(g, s, 60) == verify_scan(g, s, 60) == 50
-            assert verify_seed(g, s, 49) is verify_scan(g, s, 49) is None
+            for offset, found in ((50, True), (49, False), (51, False), (50 + GROUP_ORDER, True)):
+                assert verify_seed(g, s, offset) is verify_scan(g, s, offset) is found
 
     def test_smallest_offset_past_a_cycle(self):
-        # A match at max_offset recurs every 2^31 - 2 outputs; the
-        # smallest offset is max_offset reduced by whole cycles.
+        # A window recurs every 2^31 - 2 outputs, so it is found again
+        # whole cycles past its smallest offset.
         s = stream(99, 130)[30:]
-        assert verify_seed(99, s, 30 + GROUP_ORDER) == 30
-        assert verify_seed(0, stream(1, 3), 2 * GROUP_ORDER) == 0
+        assert verify_seed(99, s, 30 + GROUP_ORDER) is True
+        assert verify_seed(99, s, 29 + GROUP_ORDER) is False
+        assert verify_seed(0, stream(1, 3), 2 * GROUP_ORDER) is True

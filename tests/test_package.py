@@ -48,6 +48,29 @@ def test_no_unread_api():
     assert unread_api(modules, readers) == []
 
 
+def assigned(path, name):
+    """The expression assigned to `name` at the top level of the module at path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == [name])
+
+
+def test_benchmark_names_without_a_function():
+    """The `layer.function` names in perfbench's per-function metrics and tracer hooks
+    that name no public function of src/. The tracer wraps only functions that exist, so
+    each metric of these names reads 0 until the benchmark drops it."""
+    functions = {f"{path.stem}.{node.name}" for path in MODULES
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    bench = Path(__file__).parent.parent / "perfbench"
+    metrics = ast.literal_eval(assigned(bench / "run.py", "FUNCTION_METRICS"))
+    hooks = [key.value for key in assigned(bench / "tracer.py", "HOOKS").keys]
+    named = {".".join(name.split(".")[:2]) for name, _ in metrics if name.count(".") == 2}
+    assert "crack.find_seed" in named and "samples.load_trace" in hooks
+    assert sorted(named.union(hooks) - functions) == [
+        "cli.build_parser", "crack.build_prob_dist", "crack.find_seed_opt"]
+
+
 def test_unread_api_check_sees_each_form():
     modules = {
         "a": ("def used():\n    def inner(): pass\ndef unused(): pass\ndef _private(): pass\n"

@@ -36,13 +36,19 @@ class TestSampleTrace:
         assert len(t) == 3
         t = SampleTrace([])
         assert len(t) == 0 and t.values.dtype == np.int64
+        t = SampleTrace(np.array([0, 1023, 512], dtype=np.uint64))
+        assert t.values.dtype == np.int64 and t.values.tolist() == [0, 1023, 512]
 
-    # [True] stands alone: [512, True] would be an integer array
+    # [True] stands alone: [512, True] would be an integer array. A cast
+    # to int64 would wrap the uint64 values.
     @pytest.mark.parametrize("values, message", [
         ([512, -1], "sample value -1 outside"), ([512, 1024], "sample value 1024 outside"),
         ([512, 5000], "sample value 5000 outside"), ([1.7], "not float64"), (["5"], "not <U1"),
         ([True], "not bool"), ([[1, 2], [3, 4]], "trace values must be one-dimensional"),
-    ], ids=["-1", "1024", "5000", "1.7", "5", "True", "2-D"])
+        (np.array([2**64 - 1], np.uint64), "sample value 18446744073709551615 outside"),
+        (np.array([2**63], np.uint64), "sample value 9223372036854775808 outside"),
+        (np.array([5, 2**64 - 3], np.uint64), "sample value 18446744073709551613 outside"),
+    ], ids=["-1", "1024", "5000", "1.7", "5", "True", "2-D", "2^64-1", "2^63", "5,2^64-3"])
     def test_out_of_range_rejected(self, values, message):
         # non-integers are rejected before a cast could turn them into samples
         with pytest.raises(ValueError, match=message):
