@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ SEED_SPACE = 1024
 
 # Order of the multiplicative group mod MODULUS: the stream's cycle length.
 GROUP_ORDER = MODULUS - 1
-_PRIME_POWERS = (2, 9, 7, 11, 31, 151, 331)    # product: GROUP_ORDER
+_PRIME_POWERS = (331, 151, 31, 11, 9, 7, 2)    # product: GROUP_ORDER
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,27 @@ def _is_arc(vals: Sequence[int]) -> bool:
 
 
 @functools.cache
-def _subgroups() -> list[tuple[int, int, dict[int, int]]]:
-    """Pohlig-Hellman tables: per prime power q, the cofactor GROUP_ORDER / q,
-    the CRT weight that is 1 mod q and 0 mod the other prime powers, and
-    the logarithm of each element of the subgroup of order q."""
+def _subgroups() -> list[tuple[int, int, int, dict[int, int]]]:
+    """Pohlig-Hellman tables: per prime power q, q, the product of the prime powers after
+    it, the CRT weight (1 mod q, 0 mod the rest) and the logarithms of q's subgroup."""
     tables = []
-    for q in _PRIME_POWERS:
+    for i, q in enumerate(_PRIME_POWERS):
         c = GROUP_ORDER // q
         gen = pow(MULTIPLIER, c, MODULUS)
-        tables.append((c, c * pow(c, -1, q), {pow(gen, j, MODULUS): j for j in range(q)}))
+        logs = {pow(gen, j, MODULUS): j for j in range(q)}
+        tables.append((q, prod(_PRIME_POWERS[i + 1:]), c * pow(c, -1, q), logs))
     return tables
 
 
 def _dlog(y: int) -> int:
-    """The e in [0, GROUP_ORDER) with 16807^e = y mod MODULUS, for y in [1, MODULUS - 1]."""
-    return sum(w * logs[pow(y, c, MODULUS)] for c, w, logs in _subgroups()) % GROUP_ORDER
+    """The e in [0, GROUP_ORDER) with 16807^e = y mod MODULUS, for y in [1, MODULUS - 1].
+
+    Raised to the prime powers before q, y needs only those after it for y^(GROUP_ORDER / q)."""
+    e = 0
+    for q, after, w, logs in _subgroups():
+        e += w * logs[pow(y, after, MODULUS)]
+        y = pow(y, q, MODULUS)
+    return e % GROUP_ORDER
 
 
 @functools.cache
@@ -185,10 +191,8 @@ def verify_seed(g: int, s: Sequence[int], offset: int) -> bool:
     return stream(srandom(g) * pow(MULTIPLIER, offset, MODULUS), len(vals)) == vals
 
 
-def audit_candidate_streams(
-    targets: Sequence[Sequence[int]],
-    horizon: int = 10**6,
-) -> list[list[tuple[int, int]]]:
+def audit_candidate_streams(targets: Sequence[Sequence[int]],
+                            horizon: int = 10**6) -> list[list[tuple[int, int]]]:
     """Find every occurrence of each target window among candidate streams.
 
     Covers the first `horizon` outputs of all 1024 candidate streams

@@ -22,6 +22,7 @@ from .avrprng import _as_int
 
 SAMPLE_MAX = 1023
 _SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
+_BLOCK = 1 << 14           # lines per digit gather in load_values; bounds its index array
 _LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line for each value
 
 SYNTH_KINDS = ("band", "drop", "interference", "replay")
@@ -221,9 +222,8 @@ def _undecodable(text: str) -> bool:
 def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     """The values of a file `load_values` calls plain, or None for any other file.
 
-    No loop runs per line: lines are found from the newline positions, and
-    each value is Horner's rule over its digits, right-aligned to as many
-    places as the longest value line has.
+    No loop runs per line or digit place: each block of lines gathers all its digits at
+    once, right-aligned to the widest value line's places, and sums them times 10^place.
     """
     width = len(str(hi))
     if not data.isascii() or b"\r" in data:
@@ -246,21 +246,18 @@ def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     places = int(lengths.max()) if lengths.size else 0
     if places > width:
         return None
-    lengths = lengths.astype(np.uint8)
-    acc = np.zeros(ends.size, np.min_scalar_type(10**places - 1))
-    for k in range(places, 0, -1):
-        # The k-th byte from each line's end (clamped at the file's start);
-        # 0 where the line is shorter.
-        at = ends - k
-        np.maximum(at, 0, out=at)
-        digits = buf.take(at)
-        del at
+    acc = np.empty(ends.size, np.min_scalar_type(10**places - 1))
+    back = np.arange(places, 0, -1, dtype=pos)[:, None]    # gather row r: byte back[r] from the end
+    scale = 10 ** np.arange(places - 1, -1, -1, dtype=acc.dtype)[:, None]   # its digit's weight
+    for i in range(0, ends.size, _BLOCK):
+        digits = buf.take(ends[i:i + _BLOCK] - back)
         digits -= ord("0")
-        digits[lengths < k] = 0
-        if digits.size and digits.max() > 9:
+        # Rows past the block's shortest line read other lines' bytes or wrap below 0: zero them.
+        ragged = places - int(lengths[i:i + _BLOCK].min())
+        digits[:ragged][back[:ragged] > lengths[i:i + _BLOCK]] = 0
+        if digits.max() > 9:
             return None
-        acc *= 10
-        acc += digits
+        np.add.reduce(scale * digits, axis=0, dtype=acc.dtype, out=acc[i:i + _BLOCK])
     del ends, lengths
     if acc.size and (acc.min() < lo or acc.max() > hi):
         return None
@@ -316,11 +313,10 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
     line is a hard error (silently clamping would corrupt the value
     distribution the seed attack relies on).
 
-    A plain file is converted in one numpy pass: it is ASCII without
-    '\\r', and each of its lines is blank, starts with '#', or is 1 to
-    len(str(hi)) ASCII digits with a value in [lo, hi]. `save_trace` writes
-    plain files when its header is ASCII. Every other file, valid or not,
-    goes to the line parser, which also names the first bad line.
+    A plain file (ASCII without '\\r', each line blank, a '#' comment or 1 to
+    len(str(hi)) digits in [lo, hi], as `save_trace` writes under an ASCII header)
+    is converted by whole-array passes and one digit gather per block of lines.
+    Every other file goes to the line parser, which also names the first bad line.
     """
     data = _read_input(path, TraceFormatError)
     values = _plain_values(data, lo, hi)

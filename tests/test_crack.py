@@ -422,6 +422,16 @@ def broken(window, rng):
     return out
 
 
+def test_dlog_inverts_the_multiplier_power():
+    subgroup_generators = [pow(16807, GROUP_ORDER // q, MODULUS) for q in crack._PRIME_POWERS]
+    rng = pyrandom.Random(29)
+    ys = [1, 16807, MODULUS - 1] + subgroup_generators + [
+        rng.randrange(1, MODULUS) for _ in range(500)]
+    for y in ys:
+        e = crack._dlog(y)
+        assert 0 <= e < GROUP_ORDER and pow(16807, e, MODULUS) == y, y
+
+
 class TestClosedFormAgainstLoop:
     """find_seed against the stepped round-robin search."""
 

@@ -103,7 +103,8 @@ class TestAsBitArray:
         [0, 2], [-1, 0], [0.5], [[0, 1], [1, 0]], np.array([[0, 1]], np.uint8),
         # A uint8 cast turns 256 into 0: a fast path that casts first passes it.
         np.array([0, 256], np.int64), np.array([1, 2], np.uint8), np.array([255], np.uint8),
-    ], ids=repr)
+    ], ids=["[0, 2]", "[-1, 0]", "[0.5]", "[[0, 1], [1, 0]]", "array([[0, 1]], dtype=uint8)",
+            "array([0, 256])", "array([1, 2], dtype=uint8)", "array([255], dtype=uint8)"])
     def test_rejects_non_bits(self, bits):
         with pytest.raises(ValueError):
             as_bit_array(bits)

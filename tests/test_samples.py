@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from randpipe import samples
+from randpipe.avrprng import stream
 from randpipe.samples import (
     SAMPLE_MAX,
     SampleTrace,
@@ -191,13 +192,16 @@ def outcome(read):
         return str(exc)
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
-def test_plain_path_matches_line_parser(tmp_path, lo, hi):
+def check_plain_path_against_oracle(tmp_path, lo, hi):
     rng = pyrandom.Random(hi)
     bounds = [str(v).encode() for v in (lo - 1, lo, hi, hi + 1)]
     # The longest value line sets the place count; each of these is plain.
     shaped = [b"1\n7\n9\n3\n", b"123\n456\n789\n", b"# sample 50000\n12\n345\n",
-              b"1000\n12\n345\n6\n", b"12\n345\n6\n1000", b"123\n1000\n"]
+              b"1000\n12\n345\n6\n", b"12\n345\n6\n1000", b"123\n1000\n",
+              # short lines near byte 0 above a wider one: their top rows index before the file
+              b"5\n1023\n", b"\n5\n1023",
+              # the shortest line only in the last block; every line as wide
+              b"1023\n" * 14 + b"5\n", b"".join(b"%d\n" % v for v in range(1000, 1020))]
     nine_digits = b"1\n22\n999999999\n123456789\n5\n"
     if hi > 10**9:
         shaped.append(nine_digits)
@@ -224,6 +228,55 @@ def test_plain_path_matches_line_parser(tmp_path, lo, hi):
     assert 100 < plain < len(files) - 100
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
+def test_plain_path_matches_line_parser(tmp_path, lo, hi):
+    check_plain_path_against_oracle(tmp_path, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_plain_path_matches_line_parser_across_blocks(tmp_path, monkeypatch, block, lo, hi):
+    """Blocks of a few lines put block edges between short and wide lines."""
+    monkeypatch.setattr(samples, "_BLOCK", block)
+    check_plain_path_against_oracle(tmp_path, lo, hi)
+
+
+def count_gathers(monkeypatch):
+    """Count the `take` calls `_plain_values` makes on the file's bytes."""
+    calls = []
+
+    class Counting(np.ndarray):
+        def take(self, *args, **kwargs):
+            calls.append(1)
+            return self.view(np.ndarray).take(*args, **kwargs)
+    frombuffer = np.frombuffer
+    monkeypatch.setattr(samples.np, "frombuffer",
+                        lambda *args, **kwargs: frombuffer(*args, **kwargs).view(Counting))
+    return calls
+
+
+def test_digit_gathers_do_not_grow_with_places(monkeypatch):
+    calls = count_gathers(monkeypatch)
+    window = ("# job 7\n" + "".join(f"{x}\n" for x in stream(12345, 100))).encode()
+    one_digit = b"# job 7\n" + b"7\n" * 100
+    assert _plain_values(window, 1, 2**31 - 2).tolist() == stream(12345, 100)
+    ten_places = len(calls)
+    calls.clear()
+    assert _plain_values(one_digit, 1, 2**31 - 2).tolist() == [7] * 100
+    assert len(calls) == ten_places
+
+
+@pytest.mark.parametrize("block", [7, None])
+def test_one_digit_gather_per_block(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(samples, "_BLOCK", block)
+    values = pyrandom.Random(8).choices(range(1024), k=3 * samples._BLOCK + 1)
+    data = ("# capture\n" + "".join(f"{v}\n" for v in values)).encode()
+    calls = count_gathers(monkeypatch)
+    assert _plain_values(data, 0, 1023).tolist() == values
+    assert len(calls) <= 1 + 4       # the '#' test, then one gather for each of 4 blocks
+
+
 @pytest.mark.parametrize("final_newline", [True, False])
 def test_benchmark_layout_takes_plain_path(tmp_path, monkeypatch, final_newline):
     def refuse(*args):
@@ -237,6 +290,14 @@ def test_benchmark_layout_takes_plain_path(tmp_path, monkeypatch, final_newline)
     three_digits = pyrandom.Random(6).choices(range(100, 1000), k=500)
     p = write_capture(tmp_path / "q.txt", three_digits, 50, final_newline)
     assert load_trace(p).values.tolist() == three_digits
+    # recover's two files: an observed window and a 4000-sample capture
+    window = stream(7, 100)
+    text = "# job 7\n" + "".join(f"{x}\n" for x in window)
+    p.write_text(text if final_newline else text[:-1])
+    assert load_values(p, 1, 2**31 - 2).tolist() == window
+    values = pyrandom.Random(7).choices(range(1024), k=4000)
+    p = write_capture(tmp_path / "r.txt", values, 2000, final_newline)
+    assert load_trace(p).values.tolist() == values
 
 
 def test_plain_path_peak_memory_below_line_parser(tmp_path, monkeypatch):
