@@ -1,6 +1,6 @@
 """`python -m randpipe`: the same command line as the `randpipe` script."""
 
-from .cli import entry
+from .cli import main
 
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

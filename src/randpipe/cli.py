@@ -25,6 +25,12 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _emit(fields: dict) -> None:
+    """Write fields in order as `key: value` lines, in one write; a bool prints as PASS or FAIL."""
+    sys.stdout.write("".join([f"{key}: {'PASS' if v is True else 'FAIL' if v is False else v}\n"
+                              for key, v in fields.items()]))
+
+
 @contextlib.contextmanager
 def _writing(path: str):
     """Mark an OSError raised in the block as a failure to write the output file path."""
@@ -71,11 +77,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with _writing(args.out):
         extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
-    print(f"samples-in: {len(trace)}")
-    print(f"bits-out: {bits.size}")
-    print(f"yield-ratio: {ratio:.6f}")
+    fields = {"samples-in": len(trace), "bits-out": bits.size, "yield-ratio": f"{ratio:.6f}"}
     if args.rate is not None:
-        print(f"estimated-bps: {ratio * args.rate:.2f}")
+        fields["estimated-bps"] = f"{ratio * args.rate:.2f}"
+    _emit(fields)
     return 0
 
 
@@ -85,7 +90,7 @@ def cmd_fipstest(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{args.infile}: {bits.size} bits; need exactly {fips.REQUIRED_LENGTH}")
     report = fips.fips_suite(bits)
-    print(fips.format_report(report))
+    _emit(fips.format_report(report))
     return 0 if report.overall else 1
 
 
@@ -94,8 +99,7 @@ def cmd_intbits(args: argparse.Namespace) -> int:
     bits = fips.ints_to_bits(trace)
     with _writing(args.out):
         extract.write_bits(bits, args.out)
-    print(f"samples-in: {len(trace)}")
-    print(f"bits-out: {bits.size}")
+    _emit({"samples-in": len(trace), "bits-out": bits.size})
     return 0
 
 
@@ -119,7 +123,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.sequence}: no observed values")
     result = crack.find_seed(seq, cfg if args.optimized else dataclasses.replace(cfg, t=1), trace)
     if args.stats:
-        print(f"stats: total-steps={result.total_steps}")
+        _emit({"stats": f"total-steps={result.total_steps}"})
     if result.seed is None:
         _err(f"seed not found within {cfg.max_total_steps} steps")
         return 1
@@ -139,10 +143,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("value,count\n" + "".join(
             f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist())))
-    print(f"samples: {st.total}")
-    print(f"distinct: {st.distinct}")
-    print(f"min: {st.min_value}")
-    print(f"max: {st.max_value}")
+    _emit({"samples": st.total, "distinct": st.distinct, "min": st.min_value, "max": st.max_value})
     return 0
 
 
@@ -265,7 +266,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _err(f"cannot write {getattr(exc, 'out_file', '<stdout>')}: {exc}")
         return 1
-
-
-def entry() -> None:
-    sys.exit(main())

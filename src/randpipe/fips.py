@@ -42,6 +42,7 @@ RUN_INTERVALS = {
     5: (90, 223),
     6: (90, 223),
 }
+_RUN_COUNT_KEYS = tuple(f"{kind}_{i}" for kind in ("block", "gap") for i in RUN_INTERVALS)
 
 # Degrees-of-freedom bookkeeping, recorded for documentation only; no
 # verdict uses these.
@@ -150,31 +151,26 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     )
 
 
-def _verdict(passed: bool) -> str:
-    return "PASS" if passed else "FAIL"
-
-
-def format_report(report: TestReport) -> str:
-    """Render a report as 'key: value' lines ending in the OVERALL line."""
+def format_report(report: TestReport) -> dict[str, int | str | bool]:
+    """The report's fields in print order: x1, x3, x4 as text to 4 places, verdicts as bools."""
     mono, pok, run, lng = report
-    return "\n".join([
-        f"n0: {REQUIRED_LENGTH - mono.n1}",
-        f"n1: {mono.n1}",
-        f"x1: {mono.x1:.4f}",
-        f"monobit_df: {MONOBIT_DF}",
-        f"monobit: {_verdict(mono.passed)}",
-        f"x3: {pok.x3:.4f}",
-        f"poker_df: {POKER_DF}",
-        f"poker: {_verdict(pok.passed)}",
-        *(f"block_{i}: {c}" for i, c in enumerate(run.block_counts, 1)),
-        *(f"gap_{i}: {c}" for i, c in enumerate(run.gap_counts, 1)),
-        f"x4: {run.x4:.4f}",
-        f"runs_df: {RUNS_DF}",
-        f"runs: {_verdict(run.passed)}",
-        f"longest_run: {lng.longest_run}",
-        f"long_runs: {_verdict(lng.passed)}",
-        f"OVERALL: {_verdict(report.overall)}",
-    ])
+    return {
+        "n0": REQUIRED_LENGTH - mono.n1,
+        "n1": mono.n1,
+        "x1": f"{mono.x1:.4f}",
+        "monobit_df": MONOBIT_DF,
+        "monobit": mono.passed,
+        "x3": f"{pok.x3:.4f}",
+        "poker_df": POKER_DF,
+        "poker": pok.passed,
+        **dict(zip(_RUN_COUNT_KEYS, run.block_counts + run.gap_counts)),
+        "x4": f"{run.x4:.4f}",
+        "runs_df": RUNS_DF,
+        "runs": run.passed,
+        "longest_run": lng.longest_run,
+        "long_runs": lng.passed,
+        "OVERALL": report.overall,
+    }
 
 
 def ints_to_bits(trace: SampleTrace) -> np.ndarray:

@@ -99,6 +99,36 @@ OVERALL: FAIL
 """
 
 
+PASSING_REPORT = """\
+n0: 10013
+n1: 9987
+x1: 0.0338
+monobit_df: 1
+monobit: PASS
+x3: 20.2368
+poker_df: 15
+poker: PASS
+block_1: 2545
+block_2: 1276
+block_3: 605
+block_4: 311
+block_5: 143
+block_6: 163
+gap_1: 2525
+gap_2: 1308
+gap_3: 607
+gap_4: 285
+gap_5: 160
+gap_6: 158
+x4: 183.0120
+runs_df: 16
+runs: PASS
+longest_run: 15
+long_runs: PASS
+OVERALL: PASS
+"""
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -720,6 +750,17 @@ class TestGoldenOutput:
             0, "samples: 2000\ndistinct: 7\nmin: 335\nmax: 341\n", "")
         assert hist.read_text() == README_HIST
 
+    def test_intbits(self, readme_files, capsys, tmp_path):
+        rc = run("intbits", "--in", str(readme_files / "capture.txt"),
+                 "--out", str(tmp_path / "b.txt"))
+        assert captured(capsys, rc) == (0, "samples-in: 2000\nbits-out: 20000\n", "")
+
+    def test_fipstest_passing_report(self, capsys, tmp_path):
+        bit_file = tmp_path / "b.txt"
+        bit_file.write_text("".join(map(str, crypto_bits("good", 20000))))
+        rc = run("fipstest", "--in", str(bit_file))
+        assert captured(capsys, rc) == (0, PASSING_REPORT, "")
+
     @pytest.mark.parametrize("name", GOLDEN_EXTRACT)
     def test_extract(self, readme_files, capsys, tmp_path, name):
         assert_golden_extract(readme_files, capsys, tmp_path, name)
@@ -947,14 +988,31 @@ def test_written_lines_end_in_lf_on_every_platform(tmp_path, monkeypatch):
     assert hist.read_bytes() == b"value,count\n5,2\n7,1\n"
 
 
+def src_env(**env_vars):
+    """os.environ with this checkout's src first on PYTHONPATH, and env_vars set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
+
+
+def test_module_run_exits_with_main_code(tmp_path):
+    def module_run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "randpipe", *argv],
+                              capture_output=True, env=src_env(), timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert module_run("lcg", "--seed", "1", "--count", "2") == (0, b"16807\n282475249\n", b"")
+    bit_file = tmp_path / "b.txt"
+    bit_file.write_text("0101\n")
+    assert module_run("fipstest", "--in", str(bit_file)) == (
+        2, b"", f"error: {bit_file}: 4 bits; need exactly 20000\n".encode())
+
+
 def closed_pipe_outcome(launcher=("-m", "randpipe"), **env_vars):
     """(exit code, stderr) of `python <launcher> lcg ...` whose reader closes after one line."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p), **env_vars)
     proc = subprocess.Popen(
         [sys.executable, *launcher, "lcg", "--seed", "1", "--count", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(**env_vars))
     assert proc.stdout.readline() == b"16807\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)

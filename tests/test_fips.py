@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from randpipe.cli import _emit
 from randpipe.fips import (
     RUN_INTERVALS,
     TestReport,
@@ -278,13 +279,13 @@ class TestSuite:
         assert fips_suite(crypto_bits("good", N)).overall
 
     def test_report_format(self):
-        text = format_report(fips_suite(ALL_ZEROS))
-        lines = text.splitlines()
-        assert lines[-1] == "OVERALL: FAIL"
-        keys = [ln.split(":")[0] for ln in lines]
-        for key in ("n0", "n1", "x1", "x3", "block_1", "gap_6", "x4",
-                    "longest_run", "monobit", "poker", "runs", "long_runs"):
-            assert key in keys
+        fields = format_report(fips_suite(ALL_ZEROS))
+        assert list(fields)[0] == "n0" and list(fields)[-1] == "OVERALL"
+        assert fields["OVERALL"] is False
+        assert (fields["n0"], fields["n1"], fields["x1"]) == (20000, 0, "20000.0000")
+        for key in ("x3", "block_1", "gap_6", "x4", "longest_run",
+                    "monobit", "poker", "runs", "long_runs"):
+            assert key in fields
 
     def test_report_is_dataclass_with_verdicts(self):
         r = fips_suite(ALTERNATING)
@@ -382,8 +383,11 @@ class TestSuiteOracle:
                 after = np.asarray(form)
                 assert after.dtype == before.dtype and np.array_equal(after, before), name
 
-    def test_report_text_golden(self):
-        text = "\n".join(format_report(fips_suite(b)) for b in seeded_blocks())
+    def test_report_text_golden(self, capsys):
+        for b in seeded_blocks():
+            _emit(format_report(fips_suite(b)))
+        # The digest is of the reports' text without its final newline.
+        text = capsys.readouterr().out.removesuffix("\n")
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
 
     def test_adversarial_blocks_match_naive(self):
@@ -399,7 +403,8 @@ class TestSuiteOracle:
         assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_fields_are_python_scalars(self):
-        # format_report and the golden digest print these; numpy scalars must not leak
+        # The CLI prints format_report's values and prints only a bool as PASS or FAIL,
+        # so a numpy scalar must not leak: np.False_ would print as False.
         for bits in run_parity_blocks() + [ALTERNATING]:
             r = fips_suite(bits)
             mono, pok, run, lng = r
@@ -407,6 +412,7 @@ class TestSuiteOracle:
             assert all(type(c) is int for c in counts)
             assert all(type(x) is float for x in (mono.x1, pok.x3, run.x4))
             assert all(type(t.passed) is bool for t in r)
+            assert all(type(v) in (int, str, bool) for v in format_report(r).values())
 
 
 class TestIntsToBits:

@@ -163,6 +163,35 @@ def test_newline_check_sees_each_form():
     assert text_writes_without_newline(source) == [1, 5, 6, 10]
 
 
+def console_uses(source):
+    """Lines that call print() or name sys.stdout or sys.stderr, as an attribute or
+    an import, with the name used."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            found.add((node.lineno, "print"))
+        elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+              and getattr(node.value, "id", None) == "sys"):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found.update((node.lineno, a.name) for a in node.names
+                         if a.name in ("stdout", "stderr"))
+    return sorted(found)
+
+
+def test_only_cli_writes_to_the_console():
+    """The library returns results; cli alone prints them, so the text format lives there."""
+    assert {path.name for path in MODULES if console_uses(path.read_text(encoding="utf-8"))} == {
+        "cli.py"}
+
+
+def test_console_check_sees_each_form():
+    source = ("print('x')\nsys.stdout.write('x')\nf(file=sys.stderr)\n"
+              "from sys import stdout as out, argv\nlog.print\nout.stdout\n"
+              "def f(print): return print\nimport sys\n")
+    assert console_uses(source) == [(1, "print"), (2, "stdout"), (3, "stderr"), (4, "stdout")]
+
+
 def test_integer_rule_lives_in_avrprng():
     """Only avrprng imports operator or an `index`: every other module takes
     its integers through avrprng._as_int, so the rule is decided in one place."""
