@@ -47,7 +47,7 @@ def as_bit_array(bits: Sequence[int] | np.ndarray) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
     as_is = arr.dtype == np.uint8       # a checked uint8 array is returned, not copied
-    if not ((arr <= 1) if as_is else (arr == 0) | (arr == 1)).all():
+    if not (arr.max(initial=0) <= 1 if as_is else ((arr == 0) | (arr == 1)).all()):
         raise ValueError("bit sequence may contain only 0 and 1")
     return arr if as_is else arr.astype(np.uint8)
 
@@ -159,7 +159,7 @@ def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
     data = _read_input(path, BitFormatError)
     bits = np.frombuffer(data.replace(b"\n", b""), np.uint8) - ord("0")
-    return bits if (bits <= 1).all() else _text_bits(path, data)
+    return bits if bits.max(initial=0) <= 1 else _text_bits(path, data)
 
 
 def _text_bits(path: str | PathLike, data: bytes) -> np.ndarray:

@@ -97,6 +97,9 @@ def expected_run_count(n: int, i: int) -> float:
     return (n - i + 3) / 2 ** (i + 2)
 
 
+_EXPECTED_RUNS = tuple(expected_run_count(REQUIRED_LENGTH, i) for i in RUN_INTERVALS)
+
+
 class TestReport(NamedTuple):
     """All four test results for one 20000-bit sequence."""
 
@@ -124,27 +127,31 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
 
     k = REQUIRED_LENGTH // POKER_M
     table = np.bincount(np.packbits(bits), minlength=256).reshape(16, 16)  # row: first hand
-    counts = table.sum(axis=1) + table.sum(axis=0)
-    x3 = (2**POKER_M / k) * float((counts * counts).sum()) - k
+    counts = (table.sum(axis=1) + table.sum(axis=0)).tolist()
+    x3 = (2**POKER_M / k) * sum(c * c for c in counts) - k
 
     # A run starts at bit 0 and after every change; it ends where the next starts.
-    bounds = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True])))
+    change = np.empty(REQUIRED_LENGTH + 1, bool)
+    change[0] = change[-1] = True
+    np.not_equal(bits[1:], bits[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
     # Runs alternate symbols: run j, of bits[0] iff j is even, counts in bin 2 * length + j % 2.
-    keys = np.diff(bounds) * 2
+    keys = bounds[1:] - bounds[:-1]
+    keys <<= 1
     keys[1::2] += 1
     hist = np.bincount(keys, minlength=14)
-    firsts, others = (hist[i + 2:i + 12:2].tolist() + [int(hist[i + 12::2].sum())] for i in (0, 1))
+    low = hist[:14].tolist()            # runs of 1..6 bits; tolist() on all of hist is slow
+    firsts, others = (low[i + 2:i + 12:2] + [int(hist[i + 12::2].sum())] for i in (0, 1))
     blocks, gaps = (firsts, others) if bits[0] else (others, firsts)
     runs_passed = all(lo <= b <= hi and lo <= g <= hi
                       for (lo, hi), b, g in zip(RUN_INTERVALS.values(), blocks, gaps))
-    expected = (expected_run_count(REQUIRED_LENGTH, i) for i in range(1, 7))
-    x4 = sum((b - e) ** 2 / e + (g - e) ** 2 / e for b, g, e in zip(blocks, gaps, expected))
-    longest = int(np.flatnonzero(hist)[-1]) // 2
+    x4 = sum((b - e) ** 2 / e + (g - e) ** 2 / e for b, g, e in zip(blocks, gaps, _EXPECTED_RUNS))
+    # bincount's length is its largest key + 1, unless minlength padded it.
+    longest = (hist.size - 1 if hist.size > 14 else max(i for i, h in enumerate(low) if h)) // 2
 
     return TestReport(
         MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH),
-        PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH,
-                    counts=tuple(counts.tolist())),
+        PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH, counts=tuple(counts)),
         RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
                    x4=x4, passed=runs_passed),
         LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT),

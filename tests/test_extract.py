@@ -1,4 +1,5 @@
 import random as pyrandom
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestAsBitArray:
         for bits in (np.array([0, 1, 1, 0], np.uint8), np.zeros(0, np.uint8),
                      np.frombuffer(bytes([1, 0, 1]), np.uint8)):
             assert as_bit_array(bits) is bits
+
+    def test_uint8_check_allocates_no_full_size_temporary(self):
+        bits = np.zeros(10**6, np.uint8)
+        tracemalloc.start()
+        try:
+            out = as_bit_array(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is bits
+        assert peak < 64 * 1024      # a bool mask of the input would take 10**6 bytes
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float64])
     def test_other_dtypes_copied(self, dtype):

@@ -363,6 +363,14 @@ def kernel_edge_blocks():
         bits = rng.integers(0, 2, N).astype(np.uint8)
         bits[0] = sym
         out.append((f"first bit {sym}", bits))
+        # longest run exactly 5, 6 and 7: the histogram's length is padded or just past it
+        for length in (5, 6, 7):
+            bits = np.tile([sym] * length + [1 - sym] * length, N // length)[:N].astype(np.uint8)
+            out.append((f"tiled runs of {length} from {sym}", bits))
+        # thousands of empty bins in the runs-above-6 sums of both parities
+        bits = rng.integers(0, 2, N).astype(np.uint8)
+        bits[7500:12500] = sym
+        out.append((f"a 5000-bit run of {sym}s", bits))
     return out
 
 
