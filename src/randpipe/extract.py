@@ -125,9 +125,14 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
     feed mean, odd-indexed feed updown) so recorded traces reproduce;
     each sub-stream is corrected, the streams are XORed up to the
     shorter length, and apply_vn controls the final correction pass.
+    The mean half needs k + 2 samples, so the trace needs 2k + 3.
     """
     if cfg.algorithm == "mixmeanupdown":
-        mean_bits = von_neumann(raw_mean(SampleTrace(trace.values[0::2]), cfg.window_k))
+        k = cfg.window_k
+        if len(trace) < 2 * k + 3:
+            raise InsufficientSamplesError(
+                f"mixmeanupdown with k={k} needs at least {2 * k + 3} samples")
+        mean_bits = von_neumann(raw_mean(SampleTrace(trace.values[0::2]), k))
         updown_bits = von_neumann(raw_updown(SampleTrace(trace.values[1::2])))
         n = min(mean_bits.size, updown_bits.size)
         mixed = mean_bits[:n] ^ updown_bits[:n]

@@ -44,52 +44,11 @@ RUN_INTERVALS = {
 }
 _RUN_COUNT_KEYS = tuple(f"{kind}_{i}" for kind in ("block", "gap") for i in RUN_INTERVALS)
 
-# Degrees-of-freedom bookkeeping, recorded for documentation only; no
-# verdict uses these.
+# Degrees of freedom of x1, x3 and x4. Every report prints them; no
+# verdict uses them.
 MONOBIT_DF = 1
 POKER_DF = 15
 RUNS_DF = 16
-
-
-class MonobitResult(NamedTuple):
-    """Count of ones; passes iff 9654 < n1 < 10346."""
-
-    n1: int
-    x1: float
-    passed: bool
-
-
-class PokerResult(NamedTuple):
-    """Frequency of 4-bit hands; passes iff 1.03 < x3 < 57.4.
-
-    The sequence is cut into k = 5000 disjoint 4-bit hands, each read
-    MSB-first as an integer in [0, 16); counts[i] is the number of hands
-    equal to i. x3 = (16 / k) * sum(counts[i]^2) - k.
-    """
-
-    x3: float
-    passed: bool
-    counts: tuple[int, ...]
-
-
-class RunsResult(NamedTuple):
-    """Run counts by length; passes iff all 12 counts sit in RUN_INTERVALS.
-
-    x4 is the chi-square sum over the truncated counts against
-    expected_run_count and is reported for information only.
-    """
-
-    block_counts: tuple[int, ...]    # lengths 1..6, >6 truncated into 6
-    gap_counts: tuple[int, ...]
-    x4: float
-    passed: bool
-
-
-class LongRunsResult(NamedTuple):
-    """Passes iff no run of either symbol is longer than 34 bits."""
-
-    longest_run: int
-    passed: bool
 
 
 def expected_run_count(n: int, i: int) -> float:
@@ -101,18 +60,40 @@ _EXPECTED_RUNS = tuple(expected_run_count(REQUIRED_LENGTH, i) for i in RUN_INTER
 
 
 class TestReport(NamedTuple):
-    """All four test results for one 20000-bit sequence."""
+    """All four tests' results for one 20000-bit sequence.
+
+    Each verdict is the bool field named after its test:
+    - monobit passes iff 9654 < n1 < 10346, n1 being the count of ones.
+    - poker cuts the sequence into k = 5000 disjoint 4-bit hands, each read
+      MSB-first as an integer in [0, 16); poker_counts[i] is the number of
+      hands equal to i, x3 = (16 / k) * sum(poker_counts[i]^2) - k, and it
+      passes iff 1.03 < x3 < 57.4.
+    - runs passes iff all 12 counts sit in RUN_INTERVALS: block_counts (runs
+      of ones) and gap_counts (runs of zeros) by length 1..6, runs longer
+      than 6 counted in 6. x4, their chi-square sum against
+      expected_run_count, is for information only.
+    - long_runs passes iff no run of either symbol is longer than 34 bits;
+      longest_run is the longest.
+    """
 
     __test__ = False          # keep pytest from collecting this class
 
-    monobit: MonobitResult
-    poker: PokerResult
-    runs: RunsResult
-    long_runs: LongRunsResult
+    n1: int
+    x1: float
+    monobit: bool
+    x3: float
+    poker_counts: tuple[int, ...]
+    poker: bool
+    block_counts: tuple[int, ...]
+    gap_counts: tuple[int, ...]
+    x4: float
+    runs: bool
+    longest_run: int
+    long_runs: bool
 
     @property
     def overall(self) -> bool:
-        return all(r.passed for r in self)
+        return self.monobit and self.poker and self.runs and self.long_runs
 
 
 def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
@@ -150,32 +131,30 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     longest = (hist.size - 1 if hist.size > 14 else max(i for i, h in enumerate(low) if h)) // 2
 
     return TestReport(
-        MonobitResult(n1=n1, x1=x1, passed=MONOBIT_LOW < n1 < MONOBIT_HIGH),
-        PokerResult(x3=x3, passed=POKER_LOW < x3 < POKER_HIGH, counts=tuple(counts)),
-        RunsResult(block_counts=tuple(blocks), gap_counts=tuple(gaps),
-                   x4=x4, passed=runs_passed),
-        LongRunsResult(longest_run=longest, passed=longest <= LONG_RUN_LIMIT),
+        n1, x1, MONOBIT_LOW < n1 < MONOBIT_HIGH,
+        x3, tuple(counts), POKER_LOW < x3 < POKER_HIGH,
+        tuple(blocks), tuple(gaps), x4, runs_passed,
+        longest, longest <= LONG_RUN_LIMIT,
     )
 
 
 def format_report(report: TestReport) -> dict[str, int | str | bool]:
     """The report's fields in print order: x1, x3, x4 as text to 4 places, verdicts as bools."""
-    mono, pok, run, lng = report
     return {
-        "n0": REQUIRED_LENGTH - mono.n1,
-        "n1": mono.n1,
-        "x1": f"{mono.x1:.4f}",
+        "n0": REQUIRED_LENGTH - report.n1,
+        "n1": report.n1,
+        "x1": f"{report.x1:.4f}",
         "monobit_df": MONOBIT_DF,
-        "monobit": mono.passed,
-        "x3": f"{pok.x3:.4f}",
+        "monobit": report.monobit,
+        "x3": f"{report.x3:.4f}",
         "poker_df": POKER_DF,
-        "poker": pok.passed,
-        **dict(zip(_RUN_COUNT_KEYS, run.block_counts + run.gap_counts)),
-        "x4": f"{run.x4:.4f}",
+        "poker": report.poker,
+        **dict(zip(_RUN_COUNT_KEYS, report.block_counts + report.gap_counts)),
+        "x4": f"{report.x4:.4f}",
         "runs_df": RUNS_DF,
-        "runs": run.passed,
-        "longest_run": lng.longest_run,
-        "long_runs": lng.passed,
+        "runs": report.runs,
+        "longest_run": report.longest_run,
+        "long_runs": report.long_runs,
         "OVERALL": report.overall,
     }
 

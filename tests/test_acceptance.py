@@ -50,17 +50,17 @@ def test_criterion_2_fips_deterministic_fixtures():
     alt = np.tile([0, 1], 10000).astype(np.uint8)
 
     z = fips_suite(zeros)
-    ok = tuple(t.passed for t in z) == (False, False, False, False)
-    ok &= abs(z.monobit.x1 - 20000.0) < 1e-9
-    ok &= abs(z.poker.x3 - 75000.0) < 1e-9
+    ok = (z.monobit, z.poker, z.runs, z.long_runs) == (False, False, False, False)
+    ok &= abs(z.x1 - 20000.0) < 1e-9
+    ok &= abs(z.x3 - 75000.0) < 1e-9
 
     a = fips_suite(alt)
-    ok &= a.monobit.passed and a.long_runs.passed
-    ok &= not a.poker.passed and not a.runs.passed
-    ok &= abs(a.poker.x3 - 75000.0) < 1e-9
-    ok &= a.monobit.x1 == 0.0 and a.long_runs.longest_run == 1
+    ok &= a.monobit and a.long_runs
+    ok &= not a.poker and not a.runs
+    ok &= abs(a.x3 - 75000.0) < 1e-9
+    ok &= a.x1 == 0.0 and a.longest_run == 1
     report(2, "FIPS deterministic fixtures", ok,
-           f"zeros x3={z.poker.x3}, alternating x3={a.poker.x3}")
+           f"zeros x3={z.x3}, alternating x3={a.x3}")
 
 
 def test_criterion_3_fips_calibration():
@@ -82,17 +82,17 @@ def test_criterion_4_brute_force_equivalence():
         bits = rng.integers(0, 2, 20000, dtype=np.int64).astype(np.uint8)
         n1, pcounts, blocks, gaps, longest, _ = naive_scan(bits.tolist())
 
-        mono, pok, run, lng = fips_suite(bits)
+        r = fips_suite(bits)
 
         same = (
-            mono.n1 == n1
-            and abs(mono.x1 - (20000 - 2 * n1) ** 2 / 20000) < 1e-9
-            and pok.counts == tuple(pcounts)
-            and abs(pok.x3 - naive_x3(pcounts)) < 1e-9
-            and run.block_counts == tuple(blocks)
-            and run.gap_counts == tuple(gaps)
-            and abs(run.x4 - naive_x4(blocks, gaps)) < 1e-9
-            and lng.longest_run == longest
+            r.n1 == n1
+            and abs(r.x1 - (20000 - 2 * n1) ** 2 / 20000) < 1e-9
+            and r.poker_counts == tuple(pcounts)
+            and abs(r.x3 - naive_x3(pcounts)) < 1e-9
+            and r.block_counts == tuple(blocks)
+            and r.gap_counts == tuple(gaps)
+            and abs(r.x4 - naive_x4(blocks, gaps)) < 1e-9
+            and r.longest_run == longest
         )
         mismatches += not same
     elapsed = time.perf_counter() - t0

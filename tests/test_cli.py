@@ -353,6 +353,10 @@ class TestExtract:
         assert run("extract", "--in", str(trace_file), "--algo", "mean",
                    "--out", str(tmp_path / "b.txt")) == 1
         assert stderr_of(capsys) == "error: mean with k=64 needs at least 66 samples\n"
+        write_lines(trace_file, range(130))
+        assert run("extract", "--in", str(trace_file), "--algo", "mixmeanupdown",
+                   "--out", str(tmp_path / "b.txt")) == 1
+        assert stderr_of(capsys) == "error: mixmeanupdown with k=64 needs at least 131 samples\n"
         trace_file.write_text("# no samples\n\n")
         assert run("extract", "--in", str(trace_file), "--algo", "leastsign",
                    "--out", str(tmp_path / "b.txt")) == 1

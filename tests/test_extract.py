@@ -269,6 +269,15 @@ class TestExtract:
         corrected = extract(t, ExtractorConfig("mixmeanupdown", window_k=16))
         assert np.array_equal(von_neumann(raw_mix), corrected)
 
+    def test_mix_needs_2k_plus_3(self):
+        # The mean half, values[0::2], needs k + 2 samples.
+        for k in (1, 2, 64):
+            cfg = ExtractorConfig("mixmeanupdown", window_k=k)
+            msg = f"^mixmeanupdown with k={k} needs at least {2 * k + 3} samples$"
+            with pytest.raises(InsufficientSamplesError, match=msg):
+                extract(trace(*range(2 * k + 2)), cfg)
+            assert extract(trace(*range(2 * k + 3)), cfg).dtype == np.uint8
+
     def test_updown_on_uniform_is_balanced(self):
         rng = np.random.default_rng(17)
         t = SampleTrace(rng.integers(0, 1024, 100_000))

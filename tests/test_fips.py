@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -89,40 +90,40 @@ def assert_matches_naive(bits):
     """Every field of fips_suite(bits) equals the naive scanner's."""
     n1, pcounts, blocks, gaps, longest, nruns = naive_scan(bits)
     r = fips_suite(bits)
-    assert r.monobit.n1 == n1
-    assert r.monobit.x1 == pytest.approx((N - 2 * n1) ** 2 / N, abs=1e-9)
-    assert r.poker.counts == tuple(pcounts)
-    assert r.poker.x3 == pytest.approx(naive_x3(pcounts), abs=1e-9)
-    assert r.runs.block_counts == tuple(blocks)
-    assert r.runs.gap_counts == tuple(gaps)
+    assert r.n1 == n1
+    assert r.x1 == pytest.approx((N - 2 * n1) ** 2 / N, abs=1e-9)
+    assert r.poker_counts == tuple(pcounts)
+    assert r.x3 == pytest.approx(naive_x3(pcounts), abs=1e-9)
+    assert r.block_counts == tuple(blocks)
+    assert r.gap_counts == tuple(gaps)
     # truncation keeps every run in some bucket
-    assert sum(r.runs.block_counts) + sum(r.runs.gap_counts) == nruns
-    assert r.runs.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
-    assert r.long_runs.longest_run == longest
+    assert sum(r.block_counts) + sum(r.gap_counts) == nruns
+    assert r.x4 == pytest.approx(naive_x4(blocks, gaps), abs=1e-9)
+    assert r.longest_run == longest
 
 
 class TestMonobit:
     def test_balanced_passes_with_zero_statistic(self):
         bits = np.concatenate([np.ones(10000, np.uint8), np.zeros(10000, np.uint8)])
-        r = fips_suite(bits).monobit
-        assert r.n1 == 10000 and r.x1 == 0.0 and r.passed
+        r = fips_suite(bits)
+        assert r.n1 == 10000 and r.x1 == 0.0 and r.monobit
 
     def test_all_zeros_fails(self):
-        r = fips_suite(ALL_ZEROS).monobit
-        assert r.n1 == 0 and not r.passed
+        r = fips_suite(ALL_ZEROS)
+        assert r.n1 == 0 and not r.monobit
         assert r.x1 == pytest.approx(20000.0, abs=1e-9)
 
     def test_9947_ones_passes(self):
         bits = np.concatenate([np.ones(9947, np.uint8), np.zeros(10053, np.uint8)])
-        r = fips_suite(bits).monobit
-        assert r.passed
+        r = fips_suite(bits)
+        assert r.monobit
         assert r.x1 == pytest.approx(0.5618, abs=1e-9)
 
     @pytest.mark.parametrize("n1,expected", [(9654, False), (9655, True),
                                              (10345, True), (10346, False)])
     def test_bounds_are_exclusive(self, n1, expected):
         bits = np.concatenate([np.ones(n1, np.uint8), np.zeros(N - n1, np.uint8)])
-        assert fips_suite(bits).monobit.passed is expected
+        assert fips_suite(bits).monobit is expected
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -131,21 +132,21 @@ class TestMonobit:
     def test_complement_symmetry(self):
         rng = np.random.default_rng(41)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        assert fips_suite(bits).monobit.x1 == fips_suite(1 - bits).monobit.x1
+        assert fips_suite(bits).x1 == fips_suite(1 - bits).x1
 
 
 class TestPoker:
     def test_all_zeros(self):
-        r = fips_suite(ALL_ZEROS).poker
+        r = fips_suite(ALL_ZEROS)
         assert r.x3 == pytest.approx(75000.0, abs=1e-9)
-        assert not r.passed
-        assert r.counts[0] == 5000
+        assert not r.poker
+        assert r.poker_counts[0] == 5000
 
     def test_alternating_all_chunks_are_five(self):
-        r = fips_suite(ALTERNATING).poker
-        assert r.counts[5] == 5000
+        r = fips_suite(ALTERNATING)
+        assert r.poker_counts[5] == 5000
         assert r.x3 == pytest.approx(75000.0, abs=1e-9)
-        assert not r.passed
+        assert not r.poker
 
     def test_near_uniform_counts(self):
         # 8 patterns x 312 + 8 patterns x 313 = 5000 chunks; direct
@@ -159,14 +160,14 @@ class TestPoker:
         bits = np.array(
             [(v >> s) & 1 for v in chunks for s in (3, 2, 1, 0)], dtype=np.uint8
         )
-        r = fips_suite(bits).poker
+        r = fips_suite(bits)
         assert r.x3 == pytest.approx(0.0128, abs=1e-9)
-        assert not r.passed
+        assert not r.poker
 
     def test_statistic_non_negative(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            assert fips_suite(rng.integers(0, 2, N).astype(np.uint8)).poker.x3 >= 0.0
+            assert fips_suite(rng.integers(0, 2, N).astype(np.uint8)).x3 >= 0.0
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -175,21 +176,21 @@ class TestPoker:
 
 class TestRuns:
     def test_all_zeros_single_gap(self):
-        r = fips_suite(ALL_ZEROS).runs
+        r = fips_suite(ALL_ZEROS)
         assert r.gap_counts == (0, 0, 0, 0, 0, 1)
         assert r.block_counts == (0, 0, 0, 0, 0, 0)
-        assert not r.passed
+        assert not r.runs
 
     def test_alternating_fails(self):
-        r = fips_suite(ALTERNATING).runs
+        r = fips_suite(ALTERNATING)
         assert r.block_counts[0] == 10000 and r.gap_counts[0] == 10000
-        assert not r.passed
+        assert not r.runs
 
     def test_expected_count_formula(self):
         assert expected_run_count(20000, 1) == 2500.25
 
     def test_reference_bits_pass(self):
-        assert fips_suite(crypto_bits("runs-ok", N)).runs.passed
+        assert fips_suite(crypto_bits("runs-ok", N)).runs
 
     def test_intervals_inclusive(self):
         assert RUN_INTERVALS[1] == (2267, 2733)
@@ -198,8 +199,8 @@ class TestRuns:
     def test_complement_swaps_blocks_and_gaps(self):
         rng = np.random.default_rng(53)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        r = fips_suite(bits).runs
-        rc = fips_suite(1 - bits).runs
+        r = fips_suite(bits)
+        rc = fips_suite(1 - bits)
         assert r.block_counts == rc.gap_counts
         assert r.gap_counts == rc.block_counts
 
@@ -228,12 +229,12 @@ class TestRuns:
 
 class TestLongRuns:
     def test_alternating_passes(self):
-        r = fips_suite(ALTERNATING).long_runs
-        assert r.longest_run == 1 and r.passed
+        r = fips_suite(ALTERNATING)
+        assert r.longest_run == 1 and r.long_runs
 
     def test_all_zeros_fails(self):
-        r = fips_suite(ALL_ZEROS).long_runs
-        assert r.longest_run == 20000 and not r.passed
+        r = fips_suite(ALL_ZEROS)
+        assert r.longest_run == 20000 and not r.long_runs
 
     def test_exactly_35_fails(self):
         # one run of 35 ones; everything else alternates in runs <= 2
@@ -241,39 +242,37 @@ class TestLongRuns:
         bits = np.concatenate([np.ones(35, np.uint8), np.zeros(1, np.uint8),
                                tail])
         assert bits.size == N
-        r = fips_suite(bits).long_runs
-        assert r.longest_run == 35 and not r.passed
+        r = fips_suite(bits)
+        assert r.longest_run == 35 and not r.long_runs
 
     def test_exactly_34_passes(self):
         tail = np.tile([0, 0, 1, 1], (N - 36) // 4).astype(np.uint8)
         bits = np.concatenate([np.ones(34, np.uint8), np.zeros(2, np.uint8),
                                tail])
         assert bits.size == N
-        r = fips_suite(bits).long_runs
-        assert r.longest_run == 34 and r.passed
+        r = fips_suite(bits)
+        assert r.longest_run == 34 and r.long_runs
 
     def test_complement_invariant(self):
         rng = np.random.default_rng(61)
         bits = rng.integers(0, 2, N).astype(np.uint8)
-        assert fips_suite(bits).long_runs.longest_run == fips_suite(1 - bits).long_runs.longest_run
+        assert fips_suite(bits).longest_run == fips_suite(1 - bits).longest_run
 
 
 class TestSuite:
     def test_all_zeros_fails_everything(self):
         r = fips_suite(ALL_ZEROS)
-        # monobit, poker, runs, long runs
-        assert tuple(t.passed for t in r) == (False, False, False, False)
+        assert (r.monobit, r.poker, r.runs, r.long_runs) == (False, False, False, False)
         assert not r.overall
 
     def test_alternating_verdict_pattern(self):
         r = fips_suite(ALTERNATING)
-        # monobit, poker, runs, long runs
-        assert tuple(t.passed for t in r) == (True, False, False, True)
+        assert (r.monobit, r.poker, r.runs, r.long_runs) == (True, False, False, True)
         assert not r.overall
 
     def test_overall_is_conjunction(self):
         r = fips_suite(crypto_bits("suite", N))
-        assert r.overall == all(t.passed for t in r)
+        assert r.overall == all((r.monobit, r.poker, r.runs, r.long_runs))
 
     def test_reference_generator_passes(self):
         assert fips_suite(crypto_bits("good", N)).overall
@@ -290,8 +289,10 @@ class TestSuite:
     def test_report_is_dataclass_with_verdicts(self):
         r = fips_suite(ALTERNATING)
         assert isinstance(r, TestReport)
-        assert r._fields == ("monobit", "poker", "runs", "long_runs")
-        assert sum(r.poker.counts) == 5000
+        assert r._fields == ("n1", "x1", "monobit", "x3", "poker_counts", "poker",
+                             "block_counts", "gap_counts", "x4", "runs",
+                             "longest_run", "long_runs")
+        assert sum(r.poker_counts) == 5000
 
 
 def seeded_blocks():
@@ -415,12 +416,16 @@ class TestSuiteOracle:
         # so a numpy scalar must not leak: np.False_ would print as False.
         for bits in run_parity_blocks() + [ALTERNATING]:
             r = fips_suite(bits)
-            mono, pok, run, lng = r
-            counts = (mono.n1, *pok.counts, *run.block_counts, *run.gap_counts, lng.longest_run)
+            counts = (r.n1, *r.poker_counts, *r.block_counts, *r.gap_counts, r.longest_run)
             assert all(type(c) is int for c in counts)
-            assert all(type(x) is float for x in (mono.x1, pok.x3, run.x4))
-            assert all(type(t.passed) is bool for t in r)
+            assert all(type(x) is float for x in (r.x1, r.x3, r.x4))
+            verdicts = (r.monobit, r.poker, r.runs, r.long_runs, r.overall)
+            assert all(type(v) is bool for v in verdicts)
             assert all(type(v) in (int, str, bool) for v in format_report(r).values())
+            # json rejects numpy scalars, so the record must round-trip through it.
+            fields = r._asdict()
+            assert json.loads(json.dumps(fields)) == {
+                key: list(v) if type(v) is tuple else v for key, v in fields.items()}
 
 
 class TestIntsToBits:
