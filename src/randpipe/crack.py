@@ -64,12 +64,12 @@ class CrackResult:
 
 
 def _checked_sequence(s: Sequence[int]) -> list[int]:
-    vals = [_as_int(v) for v in s]
+    vals = list(map(_as_int, s))
     if not vals:
         raise ValueError("observed sequence must not be empty")
-    for v in vals:
-        if not 1 <= v <= MODULUS - 1:
-            raise ValueError(f"sequence value {v} outside [1, {MODULUS - 1}]")
+    if min(vals) < 1 or max(vals) > MODULUS - 1:
+        bad = next(v for v in vals if not 1 <= v <= MODULUS - 1)
+        raise ValueError(f"sequence value {bad} outside [1, {MODULUS - 1}]")
     return vals
 
 

@@ -31,6 +31,7 @@ from .samples import SampleTrace, _read_input, _undecodable
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
 BITS_PER_LINE = 80
+_WRITE_LINES = 1 << 14     # lines per write in write_bits; bounds its memory
 
 
 class InsufficientSamplesError(ValueError):
@@ -73,9 +74,8 @@ def von_neumann(raw: Sequence[int] | np.ndarray) -> np.ndarray:
     output bit equals the pair's first element.
     """
     bits = as_bit_array(raw)
-    pairs = bits[: bits.size - bits.size % 2].reshape(-1, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    return pairs[keep, 0].copy()
+    first = bits[0:bits.size - 1:2]
+    return first.compress(first != bits[1::2])
 
 
 def raw_leastsign(trace: SampleTrace) -> np.ndarray:
@@ -152,12 +152,13 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
 def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
     """Write a bit file: ASCII '0'/'1', 80 bits per line, each ending in a newline."""
     bits = as_bit_array(bits)           # before open(): a bad input leaves the file alone
-    full = bits.size - bits.size % BITS_PER_LINE
-    rows = np.full((full // BITS_PER_LINE, BITS_PER_LINE + 1), ord("\n"), np.uint8)
-    np.add(bits[:full].reshape(-1, BITS_PER_LINE), ord("0"), out=rows[:, :-1])
+    lines = bits[:bits.size - bits.size % BITS_PER_LINE].reshape(-1, BITS_PER_LINE)
+    rows = np.full((min(len(lines), _WRITE_LINES), BITS_PER_LINE + 1), ord("\n"), np.uint8)
     with open(path, "wb") as fh:
-        fh.write(rows)
-        fh.write((bits[full:] + ord("0")).tobytes() + b"\n" * (full < bits.size))
+        for i in range(0, len(lines), _WRITE_LINES):     # the last may fill part of rows
+            np.add(lines[i:i + _WRITE_LINES], ord("0"), out=rows[:len(lines) - i, :-1])
+            fh.write(rows[:len(lines) - i])
+        fh.write((bits[lines.size:] + ord("0")).tobytes() + b"\n" * (lines.size < bits.size))
 
 
 def read_bits(path: str | PathLike) -> np.ndarray:

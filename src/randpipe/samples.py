@@ -22,7 +22,7 @@ from .avrprng import _as_int
 
 SAMPLE_MAX = 1023
 _SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
-_BLOCK = 1 << 14           # lines per digit gather in load_values; bounds its index array
+_CHUNK = 1 << 16           # bytes per piece in load_values; bounds its per-line arrays
 _LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line for each value
 
 SYNTH_KINDS = ("band", "drop", "interference", "replay")
@@ -222,46 +222,55 @@ def _undecodable(text: str) -> bool:
 def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
     """The values of a file `load_values` calls plain, or None for any other file.
 
-    No loop runs per line or digit place: each block of lines gathers all its digits at
-    once, right-aligned to the widest value line's places, and sums them times 10^place.
+    No loop runs per line or digit place: each piece of the file, cut after a newline
+    about every _CHUNK bytes, gathers all its digits at once, right-aligned to its widest
+    value line's places, and sums them times 10^place.
     """
     width = len(str(hi))
     if not data.isascii() or b"\r" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    # Per-line arrays are the big temporaries, so they are small and freed
-    # early: np.diff's copies would add 5 MB to a 10^6-line load's peak RSS.
     pos = np.int32 if buf.size < 2**31 else np.int64
-    ends = np.flatnonzero(buf == ord("\n")).astype(pos)
-    if data and data[-1] != ord("\n"):
-        ends = np.append(ends, pos(buf.size))
-    lengths = np.empty_like(ends)
-    lengths[:1] = ends[:1]
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    lengths[1:] -= 1
-    # take, not buf[...]: indexing casts an int32 index to intp chunk by chunk, 1.7x as slow.
-    keep = lengths > 0
-    keep &= buf.take(ends - lengths) != ord("#")
-    ends, lengths = ends[keep], lengths[keep]
-    places = int(lengths.max()) if lengths.size else 0
-    if places > width:
-        return None
-    acc = np.empty(ends.size, np.min_scalar_type(10**places - 1))
-    back = np.arange(places, 0, -1, dtype=pos)[:, None]    # gather row r: byte back[r] from the end
-    scale = 10 ** np.arange(places - 1, -1, -1, dtype=acc.dtype)[:, None]   # its digit's weight
-    for i in range(0, ends.size, _BLOCK):
-        digits = buf.take(ends[i:i + _BLOCK] - back)
-        digits -= ord("0")
-        # Rows past the block's shortest line read other lines' bytes or wrap below 0: zero them.
-        ragged = places - int(lengths[i:i + _BLOCK].min())
-        digits[:ragged][back[:ragged] > lengths[i:i + _BLOCK]] = 0
-        if digits.max() > 9:
+    # Room for every line, taken before any piece's arrays so it reuses the last load's block.
+    out = np.empty(0 if buf.size <= _CHUNK else 1 + sum(
+        np.count_nonzero(buf[i:i + _CHUNK] == ord("\n")) for i in range(0, buf.size, _CHUNK)),
+        np.int64)
+    n = stop = 0
+    while stop < buf.size:
+        start, stop = stop, data.find(b"\n", stop + _CHUNK - 1) + 1 or buf.size
+        piece = buf[start:stop]
+        ends = np.flatnonzero(piece == ord("\n")).astype(pos)
+        if data[stop - 1] != ord("\n"):
+            ends = np.append(ends, pos(piece.size))
+        lengths = np.empty_like(ends)
+        lengths[:1] = ends[:1]
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        lengths[1:] -= 1
+        # take, not piece[...]: indexing casts an int32 index to intp chunk by chunk, 1.7x as slow.
+        keep = lengths > 0
+        keep &= piece.take(ends - lengths) != ord("#")
+        ends, lengths = ends[keep], lengths[keep]
+        if not lengths.size:
+            continue
+        places = int(lengths.max())
+        if places > width:
             return None
-        np.add.reduce(scale * digits, axis=0, dtype=acc.dtype, out=acc[i:i + _BLOCK])
-    del ends, lengths
-    if acc.size and (acc.min() < lo or acc.max() > hi):
-        return None
-    return acc.astype(np.int64)
+        back = np.arange(places, 0, -1, dtype=pos)[:, None]   # gather row r: back[r] from the end
+        scale = 10 ** np.arange(places - 1, -1, -1, dtype=np.min_scalar_type(10**places - 1))
+        digits = piece.take(ends - back)
+        digits -= ord("0")
+        # Rows past the piece's shortest line read other lines' bytes or wrap below 0: zero them.
+        ragged = places - int(lengths.min())
+        digits[:ragged][back[:ragged] > lengths] = 0
+        acc = np.add.reduce(scale[:, None] * digits, axis=0, dtype=scale.dtype)
+        if digits.max() > 9 or acc.min() < lo or acc.max() > hi:
+            return None
+        if not n and stop == buf.size:      # the file's only values: returned as they are
+            return acc.astype(np.int64)
+        out[n:n + acc.size] = acc
+        n += acc.size
+    out.resize(n, refcheck=False)           # in place: nothing else views out
+    return out
 
 
 def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[int]:
@@ -315,7 +324,7 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
 
     A plain file (ASCII without '\\r', each line blank, a '#' comment or 1 to
     len(str(hi)) digits in [lo, hi], as `save_trace` writes under an ASCII header)
-    is converted by whole-array passes and one digit gather per block of lines.
+    is converted in pieces of about _CHUNK bytes, one digit gather per piece.
     Every other file goes to the line parser, which also names the first bad line.
     """
     data = _read_input(path, TraceFormatError)

@@ -358,6 +358,21 @@ class TestVerifySeed:
             assert verify_seed(g + 1, s, 3) is False
             assert verify_seed(g, broken(s, pyrandom.Random(g)), 3) is False
 
+    def test_range_errors_name_the_first_bad_value(self):
+        good = stream(338, 3)
+        cases = [([0] + good, 0), (good + [MODULUS, -5], MODULUS), (good + [-5, 0], -5),
+                 (np.array(good + [2**40, 0]), 2**40)]
+        for s, bad in cases:
+            for check in (lambda: verify_seed(338, s, 0),
+                          lambda: find_seed(s, CrackConfig(), band_trace())):
+                with pytest.raises(ValueError) as exc:
+                    check()
+                assert str(exc.value) == f"sequence value {bad} outside [1, {MODULUS - 1}]"
+        for check in (lambda: verify_seed(338, [], 0),
+                      lambda: find_seed([], CrackConfig(), band_trace())):
+            with pytest.raises(ValueError, match="^observed sequence must not be empty$"):
+                check()
+
     def test_rejects_negative_seed(self):
         # -5 and 2^31 - 6 are congruent mod 2^31 - 1; srandom refuses the former
         with pytest.raises(ValueError, match="seed must be non-negative"):

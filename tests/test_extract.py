@@ -146,6 +146,14 @@ class TestVonNeumann:
             bits = [rng.randrange(2) for _ in range(rng.randrange(0, 300))]
             assert von_neumann(bits).tolist() == naive_von_neumann(bits)
 
+    def test_every_short_input_matches_naive_pairing(self):
+        for n in range(6):
+            for value in range(2**n):
+                bits = [value >> i & 1 for i in range(n)]
+                for form in (bits, np.array(bits, np.uint8)):
+                    out = von_neumann(form)
+                    assert out.dtype == np.uint8 and out.tolist() == naive_von_neumann(bits)
+
     def test_output_is_a_new_array(self):
         bits = np.array([1, 0, 1, 0, 1], np.uint8)
         out = von_neumann(bits)
@@ -369,6 +377,21 @@ class TestBitFiles:
                 write_bits(form, got)
                 write_bits_lines(form, want)
                 assert got.read_bytes() == want.read_bytes(), (n, type(form))
+
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_chunked_write_matches_line_oracle(self, tmp_path, monkeypatch, lines):
+        """Writes of a few lines each put chunk edges on and next to line edges, and
+        leave a last chunk that fills only part of the row buffer."""
+        monkeypatch.setattr(extract_module, "_WRITE_LINES", lines)
+        rng = np.random.default_rng(lines)
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        chunk = lines * 80
+        for n in (0, 79, 80, 81, chunk - 1, chunk, chunk + 1, chunk + 80, 2 * chunk + 1,
+                  2 * chunk - 73, 7 * chunk + 40):
+            bits = rng.integers(0, 2, n).astype(np.uint8)
+            write_bits(bits, got)
+            write_bits_lines(bits, want)
+            assert got.read_bytes() == want.read_bytes(), n
 
     def test_bad_input_leaves_file_alone(self, tmp_path):
         p = tmp_path / "bits.txt"

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from randpipe.cli import _emit
+from randpipe.extract import write_bits
 from randpipe.fips import (
     RUN_INTERVALS,
     TestReport,
@@ -452,3 +454,28 @@ class TestIntsToBits:
             assert "".join(map(str, bits.tolist())) == oracle
         empty = ints_to_bits(SampleTrace([]))
         assert empty.shape == (0,) and empty.dtype == np.uint8
+
+    def test_strided_trace_view(self):
+        # as extract's mixmeanupdown splits a loaded trace: a read-only view, not a copy
+        values = np.random.default_rng(71).integers(0, 1024, 1001)
+        values.flags.writeable = False
+        for view in (values[1::2], values[0::2], values[::-3]):
+            trace = SampleTrace(view)
+            assert np.shares_memory(trace.values, values)
+            oracle = "".join(format(v, "010b") for v in view.tolist())
+            assert "".join(map(str, ints_to_bits(trace).tolist())) == oracle
+
+    def test_expand_and_write_peak_memory(self, tmp_path):
+        """ints_to_bits then write_bits on 10^6 samples: the 10 MB bit array plus
+        one 2^14-line write chunk (1.3 MB), not a second file-sized copy."""
+        trace = SampleTrace(np.random.default_rng(73).integers(0, 1024, 10**6))
+        tracemalloc.start()
+        try:
+            bits = ints_to_bits(trace)
+            write_bits(bits, tmp_path / "bits.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.nbytes == 10**7
+        assert peak < bits.nbytes + 2 * 2**20
+        assert (tmp_path / "bits.txt").stat().st_size == 10**7 // 80 * 81

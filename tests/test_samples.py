@@ -200,8 +200,12 @@ def check_plain_path_against_oracle(tmp_path, lo, hi):
               b"1000\n12\n345\n6\n", b"12\n345\n6\n1000", b"123\n1000\n",
               # short lines near byte 0 above a wider one: their top rows index before the file
               b"5\n1023\n", b"\n5\n1023",
-              # the shortest line only in the last block; every line as wide
-              b"1023\n" * 14 + b"5\n", b"".join(b"%d\n" % v for v in range(1000, 1020))]
+              # the shortest line only in the last piece; every line as wide
+              b"1023\n" * 14 + b"5\n", b"".join(b"%d\n" % v for v in range(1000, 1020)),
+              # over 64 bytes: widths 1 to 4 in turn; runs of '#' and blank lines
+              # that fill whole pieces, then a last line without a newline
+              b"".join(b"%d\n" % v for v in range(1, 1024, 7)),
+              b"7\n" + b"# comment\n" * 12 + b"\n" * 70 + b"# x\n\n" * 9 + b"1023\n5"]
     nine_digits = b"1\n22\n999999999\n123456789\n5\n"
     if hi > 10**9:
         shaped.append(nine_digits)
@@ -210,7 +214,10 @@ def check_plain_path_against_oracle(tmp_path, lo, hi):
     # past int()'s 4300-digit limit; leading zeros do not count
     overlong = [b"9" * 5000, b"-" + b"9" * 5000, b"0" * 5000 + b"1024", b"0" * 5000 + b"7",
                 b"-" + b"0" * 5000 + b"3", b"-" + b"0" * 5000]
-    files = shaped + [nine_digits, b"", b"\n", b"0", b"\n\n# c\n"] + [
+    # a bad line past the first 64 bytes, after pieces that passed
+    late = [b"5\n" * 40 + bad for bad in (b"1024\n", b"12345678901\n", b"-1\n", b"abc\n",
+                                           b"5\r\n", b"\xff\n", b"10" * 40 + b"\n")]
+    files = shaped + late + [nine_digits, b"", b"\n", b"0", b"\n\n# c\n"] + [
         line + end for line in ADVERSARIAL + bounds + overlong for end in (b"", b"\n", b"\n1\n")]
     files += [random_file(rng, lo, hi) for _ in range(600)]
     plain = 0
@@ -234,10 +241,12 @@ def test_plain_path_matches_line_parser(tmp_path, lo, hi):
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_plain_path_matches_line_parser_across_blocks(tmp_path, monkeypatch, block, lo, hi):
-    """Blocks of a few lines put block edges between short and wide lines."""
-    monkeypatch.setattr(samples, "_BLOCK", block)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_plain_path_matches_line_parser_across_blocks(tmp_path, monkeypatch, chunk, lo, hi):
+    """Pieces of a few bytes put piece edges between short and wide lines, inside
+    runs of '#' and blank lines, around pieces of comments only and before a
+    last line without a newline."""
+    monkeypatch.setattr(samples, "_CHUNK", chunk)
     check_plain_path_against_oracle(tmp_path, lo, hi)
 
 
@@ -266,15 +275,17 @@ def test_digit_gathers_do_not_grow_with_places(monkeypatch):
     assert len(calls) == ten_places
 
 
-@pytest.mark.parametrize("block", [7, None])
-def test_one_digit_gather_per_block(monkeypatch, block):
-    if block:
-        monkeypatch.setattr(samples, "_BLOCK", block)
-    values = pyrandom.Random(8).choices(range(1024), k=3 * samples._BLOCK + 1)
+@pytest.mark.parametrize("chunk", [7, None])
+def test_one_digit_gather_per_block(monkeypatch, chunk):
+    """One '#' gather and one digit gather per piece; every piece but the last holds
+    at least _CHUNK bytes."""
+    if chunk:
+        monkeypatch.setattr(samples, "_CHUNK", chunk)
+    values = pyrandom.Random(8).choices(range(1024), k=samples._CHUNK + 1)
     data = ("# capture\n" + "".join(f"{v}\n" for v in values)).encode()
     calls = count_gathers(monkeypatch)
     assert _plain_values(data, 0, 1023).tolist() == values
-    assert len(calls) <= 1 + 4       # the '#' test, then one gather for each of 4 blocks
+    assert len(calls) <= 2 * (len(data) // samples._CHUNK + 1)
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
@@ -317,10 +328,9 @@ def test_plain_path_peak_memory_below_line_parser(tmp_path, monkeypatch):
     assert plain < peak()
 
 
-def test_plain_path_peak_memory_bound(tmp_path):
-    """An absolute bound, so the plain path's peak cannot double unseen: 2,597,997
-    bytes measured at 10^5 lines with take's intp index casts, plus 10%."""
-    values = np.random.default_rng(3).integers(0, 1024, 10**5).tolist()
+def load_peak(tmp_path, n):
+    """load_trace's traced peak on an n-value capture, with the file's size."""
+    values = np.random.default_rng(3).integers(0, 1024, n).tolist()
     p = write_capture(tmp_path / "c.txt", values, 1000)
     tracemalloc.start()
     try:
@@ -329,7 +339,23 @@ def test_plain_path_peak_memory_bound(tmp_path):
     finally:
         tracemalloc.stop()
     assert trace.values.tolist() == values
-    assert peak < 2_597_997 * 1.1
+    return peak, p.stat().st_size
+
+
+def test_plain_path_peak_memory_bound(tmp_path):
+    """An absolute bound, so the plain path's peak cannot double unseen: 2,315,949
+    bytes measured at 10^5 lines in 64 KiB pieces, plus 10%."""
+    peak, _ = load_peak(tmp_path, 10**5)
+    assert peak < 2_315_949 * 1.1
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_plain_path_peak_memory_beyond_bytes_and_result_is_fixed(tmp_path, n):
+    """Past the file's bytes and the int64 result, the loader holds one piece's
+    arrays: about 17 bytes per byte of a 64 KiB piece, 1.13 MB measured at both sizes.
+    Whole-file line arrays would add over 10 bytes a line at 10^6 lines."""
+    peak, size = load_peak(tmp_path, n)
+    assert peak - (size + 8 * n) < 1.5 * 2**20
 
 
 def test_save_load_round_trip(tmp_path):
