@@ -26,9 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .avrprng import MODULUS, MULTIPLIER, _as_int, srandom, stream
-from .samples import SampleTrace
+from .samples import SAMPLE_MAX, SampleTrace
 
-SEED_SPACE = 1024
+SEED_SPACE = SAMPLE_MAX + 1        # one candidate seed per reading
 
 # Order of the multiplicative group mod MODULUS: the stream's cycle length.
 GROUP_ORDER = MODULUS - 1

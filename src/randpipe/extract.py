@@ -19,6 +19,7 @@ uint8 arrays of 0/1 values.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from os import PathLike
 from typing import Sequence
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .avrprng import _as_int
-from .samples import SampleTrace, _read_input, _undecodable
+from .samples import InputFormatError, SampleTrace, _read_input, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
@@ -36,10 +37,6 @@ _WRITE_LINES = 1 << 14     # lines per write in write_bits; bounds its memory
 
 class InsufficientSamplesError(ValueError):
     """The trace is too short for the requested algorithm."""
-
-
-class BitFormatError(ValueError):
-    """A bit file contains something other than 0/1 and whitespace."""
 
 
 def as_bit_array(bits: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -163,22 +160,20 @@ def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    data = _read_input(path, BitFormatError)
+    data = _read_input(path)
     bits = np.frombuffer(data.replace(b"\n", b""), np.uint8) - ord("0")
     return bits if bits.max(initial=0) <= 1 else _text_bits(path, data)
 
 
 def _text_bits(path: str | PathLike, data: bytes) -> np.ndarray:
     """`read_bits` past its bytes check, where any byte but '0', '1', '\\n' wraps above 1."""
-    text = data.decode("utf-8", "surrogateescape")
+    # Text mode reads '\r' and '\r\n' as '\n': lines count as `load_values` counts them.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape").read()
     digits = "".join(text.split())     # split() drops exactly what isspace() accepts
     rest = digits.translate(str.maketrans("", "", "01"))    # all but the bits
     if rest:
-        ch = rest[0]
-        # Only bits and whitespace precede ch's first occurrence. Lines end
-        # at '\n', '\r' and '\r\n', as text mode reads them.
-        head = text[:text.index(ch)]
-        lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        ch = rest[0]                    # only bits and whitespace precede its first occurrence
+        lineno = text.count("\n", 0, text.index(ch)) + 1
         what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
-        raise BitFormatError(f"{path}: line {lineno}: {what}")
+        raise InputFormatError(f"{path}: line {lineno}: {what}")
     return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")

@@ -28,8 +28,9 @@ _LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line fo
 SYNTH_KINDS = ("band", "drop", "interference", "replay")
 
 
-class TraceFormatError(ValueError):
-    """A sample file could not be parsed; message carries path and line."""
+class InputFormatError(ValueError):
+    """An input file could not be read or parsed; the message names the path, and the
+    line where there is one."""
 
 
 def _frozen(arr: np.ndarray) -> bool:
@@ -204,13 +205,13 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
     return SampleTrace(arr)
 
 
-def _read_input(path: str | PathLike, error: type[ValueError]) -> bytes:
-    """An input file's bytes; failing to read it raises `error` naming the path."""
+def _read_input(path: str | PathLike) -> bytes:
+    """An input file's bytes; failing to read it raises InputFormatError naming the path."""
     try:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise error(f"{path}: cannot read: {exc}") from exc
+        raise InputFormatError(f"{path}: cannot read: {exc}") from exc
 
 
 def _undecodable(text: str) -> bool:
@@ -286,11 +287,11 @@ def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[in
             # Plain digits first: the common line takes one test, not three.
             if not (text.isdigit() and text.isascii()):
                 if not text.isascii() and _undecodable(text):
-                    raise TraceFormatError(f"{path}: line {lineno}: not UTF-8")
+                    raise InputFormatError(f"{path}: line {lineno}: not UTF-8")
                 if not text or text[0] == "#":
                     continue
                 if not (text[0] == "-" and text[1:].isdigit() and text.isascii()):
-                    raise TraceFormatError(
+                    raise InputFormatError(
                         f"{path}: line {lineno}: not an integer: {text!r}"
                     )
             try:
@@ -300,12 +301,12 @@ def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[in
                 sign = "-" if text[0] == "-" else ""
                 digits = text.lstrip("-").lstrip("0")
                 if len(digits) > len(str(hi)):
-                    raise TraceFormatError(
+                    raise InputFormatError(
                         f"{path}: line {lineno}: value {sign}{digits} outside [{lo}, {hi}]"
                     ) from None
                 v = int(sign + (digits or "0"))
             if not lo <= v <= hi:
-                raise TraceFormatError(
+                raise InputFormatError(
                     f"{path}: line {lineno}: value {v} outside [{lo}, {hi}]"
                 )
             values.append(v)
@@ -327,7 +328,7 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
     is converted in pieces of about _CHUNK bytes, one digit gather per piece.
     Every other file goes to the line parser, which also names the first bad line.
     """
-    data = _read_input(path, TraceFormatError)
+    data = _read_input(path)
     values = _plain_values(data, lo, hi)
     if values is None:
         values = np.array(_parse_lines(path, data, lo, hi), dtype=np.int64)

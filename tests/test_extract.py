@@ -7,7 +7,6 @@ import pytest
 
 from randpipe import extract as extract_module
 from randpipe.extract import (
-    BitFormatError,
     ExtractorConfig,
     InsufficientSamplesError,
     as_bit_array,
@@ -20,7 +19,7 @@ from randpipe.extract import (
     von_neumann,
     write_bits,
 )
-from randpipe.samples import SampleTrace, _undecodable
+from randpipe.samples import InputFormatError, SampleTrace, _undecodable
 
 from test_avrprng import NON_INTEGERS
 
@@ -70,7 +69,7 @@ def read_bits_loop(path) -> np.ndarray:
                     out.append(1)
                 elif not ch.isspace():
                     what = "not UTF-8" if _undecodable(ch) else f"invalid character {ch!r}"
-                    raise BitFormatError(f"{path}: line {lineno}: {what}")
+                    raise InputFormatError(f"{path}: line {lineno}: {what}")
     return np.array(out, dtype=np.uint8)
 
 
@@ -433,11 +432,11 @@ class TestBitFiles:
         p = tmp_path / "bits.txt"
         for data, message in LINE_NUMBER_CASES:
             p.write_bytes(data)
-            with pytest.raises(BitFormatError) as exc:
+            with pytest.raises(InputFormatError) as exc:
                 read_bits(p)
             assert str(exc.value) == f"{p}: {message}", data
 
     def test_unreadable_path(self, tmp_path):
-        with pytest.raises(BitFormatError) as exc:
+        with pytest.raises(InputFormatError) as exc:
             read_bits(tmp_path)
         assert str(exc.value).startswith(f"{tmp_path}: cannot read: ")

@@ -163,6 +163,51 @@ def test_newline_check_sees_each_form():
     assert text_writes_without_newline(source) == [1, 5, 6, 10]
 
 
+def file_reads(source):
+    """Lines that read a file, each with the function that holds it (None at the top
+    level): the builtin open() with a mode that has none of 'w', 'a', 'x' and '+',
+    `.read_bytes()`, `.read_text()` and `fromfile`. A mode that is not a literal counts
+    as a read."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+")):
+                    found.append((node.lineno, where))
+            elif (name or getattr(node.func, "attr", None)) in ("read_bytes", "read_text",
+                                                                "fromfile"):
+                found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_reader():
+    """samples._read_input is the only code in src/ that reads a file, so every input
+    file fails to read with the same error and message."""
+    assert {(path.stem, where) for path in MODULES
+            for _, where in file_reads(path.read_text(encoding="utf-8"))} == {
+        ("samples", "_read_input")}
+
+
+def test_reader_check_sees_each_form():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w', newline='')\nopen(p, mode='ab')\n"
+              "open(p, 'r+b')\nopen(p, m)\nPath(p).read_bytes()\np.read_text('utf-8')\n"
+              "np.fromfile(p, np.uint8)\ndef f(p):\n    with open(p, mode='rt') as fh:\n"
+              "        return fh.read()\np.write_text('x')\nopen(p, 'x')\n"
+              "os.open(p, os.O_WRONLY)\nfromfile(p)\n")
+    assert file_reads(source) == [
+        (1, None), (2, None), (6, None), (7, None), (8, None), (9, None), (11, "f"), (16, None)]
+
+
 def console_uses(source):
     """Lines that call print() or name sys.stdout or sys.stderr, as an attribute or
     an import, with the name used."""

@@ -12,7 +12,7 @@ from randpipe.samples import (
     SAMPLE_MAX,
     SampleTrace,
     SynthModel,
-    TraceFormatError,
+    InputFormatError,
     _parse_lines,
     _plain_values,
     load_trace,
@@ -95,23 +95,23 @@ class TestLoadTrace:
         assert t.values.tolist() == [7, 8]
 
     def test_out_of_range_reports_line(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="line 1"):
+        with pytest.raises(InputFormatError, match="line 1"):
             load_trace(write(tmp_path, "1024\n"))
-        with pytest.raises(TraceFormatError, match=r"line 2: value -3 outside \[0, 1023\]"):
+        with pytest.raises(InputFormatError, match=r"line 2: value -3 outside \[0, 1023\]"):
             load_trace(write(tmp_path, "5\n-3\n"))
         # past int()'s 4300-digit limit; leading zeros do not count
         for text, value in (("9" * 5000, "9" * 5000), ("-" + "9" * 5000, "-" + "9" * 5000),
                             ("0" * 5000 + "1024", "1024"), ("-" + "0" * 5000 + "3", "-3")):
-            with pytest.raises(TraceFormatError) as exc:
+            with pytest.raises(InputFormatError) as exc:
                 load_trace(write(tmp_path, f"1\n{text}\n"))
             assert str(exc.value).endswith(f"line 2: value {value} outside [0, 1023]")
 
     def test_non_integer_reports_line(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="line 3"):
+        with pytest.raises(InputFormatError, match="line 3"):
             load_trace(write(tmp_path, "1\n2\nxyz\n"))
         # int() takes the first three; the sample grammar is -?[0-9]+ only
         for text in ("1_0", "+5", "\u0661\u0662", "-", "--5", "- 5", "5.0", "\u00b2"):
-            with pytest.raises(TraceFormatError) as exc:
+            with pytest.raises(InputFormatError) as exc:
                 load_trace(write(tmp_path, f"1\n\n{text}\n"))
             assert str(exc.value).endswith(f"line 3: not an integer: {text!r}")
         assert load_trace(write(tmp_path, "007\n  12 \n")).values.tolist() == [7, 12]
@@ -119,7 +119,7 @@ class TestLoadTrace:
                           ).values.tolist() == [7, 0]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputFormatError):
             load_trace(tmp_path / "nope.txt")
 
 
@@ -170,16 +170,16 @@ def load_values_loop(path, lo, hi):
             text = line.strip()
             # surrogateescape turns each byte that is not UTF-8 into a lone surrogate
             if any("\ud800" <= ch <= "\udfff" for ch in text):
-                raise TraceFormatError(f"{path}: line {lineno}: not UTF-8")
+                raise InputFormatError(f"{path}: line {lineno}: not UTF-8")
             if not text or text.startswith("#"):
                 continue
             if not re.fullmatch(r"-?[0-9]+", text):
-                raise TraceFormatError(f"{path}: line {lineno}: not an integer: {text!r}")
+                raise InputFormatError(f"{path}: line {lineno}: not an integer: {text!r}")
             # a value too long for the range is reported without converting it
             digits = text.lstrip("-").lstrip("0") or "0"
             value = "-" + digits if text[0] == "-" and digits != "0" else digits
             if len(digits) > len(str(hi)) or not lo <= int(value) <= hi:
-                raise TraceFormatError(
+                raise InputFormatError(
                     f"{path}: line {lineno}: value {value} outside [{lo}, {hi}]")
             values.append(int(value))
     return values
@@ -188,7 +188,7 @@ def load_values_loop(path, lo, hi):
 def outcome(read):
     try:
         return [int(v) for v in read()]
-    except TraceFormatError as exc:
+    except InputFormatError as exc:
         return str(exc)
 
 
