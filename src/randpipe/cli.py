@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import math
 import os
@@ -115,13 +114,16 @@ def cmd_lcg(args: argparse.Namespace) -> int:
 
 
 def cmd_crack(args: argparse.Namespace) -> int:
+    if args.t is not None and not args.optimized:
+        raise ValueError("--t needs --optimized")
     # Python ints: find_seed and verify_seed each check every value.
     seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1).tolist()
     trace = samples.load_trace(args.samples)
-    cfg = crack.CrackConfig(m=args.m, t=args.t, max_total_steps=args.max_steps)
+    t = (crack.CrackConfig.t if args.t is None else args.t) if args.optimized else 1
+    cfg = crack.CrackConfig(m=args.m, t=t, max_total_steps=args.max_steps)
     if not seq:
         raise ValueError(f"{args.sequence}: no observed values")
-    result = crack.find_seed(seq, cfg if args.optimized else dataclasses.replace(cfg, t=1), trace)
+    result = crack.find_seed(seq, cfg, trace)
     if args.stats:
         _emit({"stats": f"total-steps={result.total_steps}"})
     if result.seed is None:
@@ -205,8 +207,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                    help="sample trace for the candidate frequency ranking")
     p.add_argument("--m", type=int, default=crack.CrackConfig.m,
                    help="step budget per candidate per visit")
-    p.add_argument("--t", type=int, default=crack.CrackConfig.t,
-                   help="weight for observed candidates (with --optimized)")
+    p.add_argument("--t", type=int, help="weight for observed candidates (needs --optimized)")
     p.add_argument("--optimized", action="store_true",
                    help="spend t times more steps on observed candidates")
     p.add_argument("--max-steps", type=int, default=crack.CrackConfig.max_total_steps)

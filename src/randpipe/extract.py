@@ -19,7 +19,6 @@ uint8 arrays of 0/1 values.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from os import PathLike
 from typing import Sequence
@@ -166,9 +165,9 @@ def read_bits(path: str | PathLike) -> np.ndarray:
 
 
 def _text_bits(path: str | PathLike, data: bytes) -> np.ndarray:
-    """`read_bits` past its bytes check, where any byte but '0', '1', '\\n' wraps above 1."""
-    # Text mode reads '\r' and '\r\n' as '\n': lines count as `load_values` counts them.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape").read()
+    """`read_bits` past its bytes check, where any byte but '0', '1', '\\n' wraps above 1.
+    `_read_input` ends every line in '\\n', so lines count as `load_values` counts them."""
+    text = data.decode("utf-8", "surrogateescape")
     digits = "".join(text.split())     # split() drops exactly what isspace() accepts
     rest = digits.translate(str.maketrans("", "", "01"))    # all but the bits
     if rest:

@@ -10,7 +10,6 @@ interference) with no claim of physical fidelity.
 
 from __future__ import annotations
 
-import io
 import random as _pyrandom
 from dataclasses import dataclass, field
 from math import ceil, isfinite, log
@@ -206,12 +205,14 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
 
 
 def _read_input(path: str | PathLike) -> bytes:
-    """An input file's bytes; failing to read it raises InputFormatError naming the path."""
+    """An input file's bytes, each '\\r\\n' and lone '\\r' made '\\n' as text mode reads them: the
+    one place that knows line ends. Failing to read raises InputFormatError naming the path."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            data = fh.read()
     except OSError as exc:
         raise InputFormatError(f"{path}: cannot read: {exc}") from exc
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _undecodable(text: str) -> bool:
@@ -220,96 +221,74 @@ def _undecodable(text: str) -> bool:
     return any("\udc80" <= ch <= "\udcff" for ch in text)
 
 
-def _plain_values(data: bytes, lo: int, hi: int) -> np.ndarray | None:
-    """The values of a file `load_values` calls plain, or None for any other file.
+def _plain_values(piece: bytes, lo: int, hi: int) -> np.ndarray | None:
+    """One piece's values if `load_values` calls the piece plain, else None.
 
-    No loop runs per line or digit place: each piece of the file, cut after a newline
-    about every _CHUNK bytes, gathers all its digits at once, right-aligned to its widest
-    value line's places, and sums them times 10^place.
+    No loop runs per line or digit place: the piece gathers all its digits at once,
+    right-aligned to its widest value line's places, and sums them times 10^place.
     """
-    width = len(str(hi))
-    if not data.isascii() or b"\r" in data:
+    if not piece.isascii():
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
+    buf = np.frombuffer(piece, dtype=np.uint8)
     pos = np.int32 if buf.size < 2**31 else np.int64
-    # Room for every line, taken before any piece's arrays so it reuses the last load's block.
-    out = np.empty(0 if buf.size <= _CHUNK else 1 + sum(
-        np.count_nonzero(buf[i:i + _CHUNK] == ord("\n")) for i in range(0, buf.size, _CHUNK)),
-        np.int64)
-    n = stop = 0
-    while stop < buf.size:
-        start, stop = stop, data.find(b"\n", stop + _CHUNK - 1) + 1 or buf.size
-        piece = buf[start:stop]
-        ends = np.flatnonzero(piece == ord("\n")).astype(pos)
-        if data[stop - 1] != ord("\n"):
-            ends = np.append(ends, pos(piece.size))
-        lengths = np.empty_like(ends)
-        lengths[:1] = ends[:1]
-        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-        lengths[1:] -= 1
-        # take, not piece[...]: indexing casts an int32 index to intp chunk by chunk, 1.7x as slow.
-        keep = lengths > 0
-        keep &= piece.take(ends - lengths) != ord("#")
-        ends, lengths = ends[keep], lengths[keep]
-        if not lengths.size:
-            continue
-        places = int(lengths.max())
-        if places > width:
-            return None
-        back = np.arange(places, 0, -1, dtype=pos)[:, None]   # gather row r: back[r] from the end
-        scale = 10 ** np.arange(places - 1, -1, -1, dtype=np.min_scalar_type(10**places - 1))
-        digits = piece.take(ends - back)
-        digits -= ord("0")
-        # Rows past the piece's shortest line read other lines' bytes or wrap below 0: zero them.
-        ragged = places - int(lengths.min())
-        digits[:ragged][back[:ragged] > lengths] = 0
-        acc = np.add.reduce(scale[:, None] * digits, axis=0, dtype=scale.dtype)
-        if digits.max() > 9 or acc.min() < lo or acc.max() > hi:
-            return None
-        if not n and stop == buf.size:      # the file's only values: returned as they are
-            return acc.astype(np.int64)
-        out[n:n + acc.size] = acc
-        n += acc.size
-    out.resize(n, refcheck=False)           # in place: nothing else views out
-    return out
+    ends = np.flatnonzero(buf == ord("\n")).astype(pos)
+    if not piece.endswith(b"\n"):
+        ends = np.append(ends, pos(buf.size))
+    lengths = np.empty_like(ends)
+    lengths[:1] = ends[:1]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    # take, not buf[...]: indexing casts an int32 index to intp chunk by chunk, 1.7x as slow.
+    keep = lengths > 0
+    keep &= buf.take(ends - lengths) != ord("#")
+    ends, lengths = ends[keep], lengths[keep]
+    if not lengths.size:                # no value lines: no values
+        return lengths
+    places = int(lengths.max())
+    if places > len(str(hi)):
+        return None
+    back = np.arange(places, 0, -1, dtype=pos)[:, None]   # gather row r: back[r] from the end
+    scale = 10 ** np.arange(places - 1, -1, -1, dtype=np.min_scalar_type(10**places - 1))
+    digits = buf.take(ends - back)
+    digits -= ord("0")
+    # Rows past the piece's shortest line read other lines' bytes or wrap below 0: zero them.
+    ragged = places - int(lengths.min())
+    digits[:ragged][back[:ragged] > lengths] = 0
+    acc = np.add.reduce(scale[:, None] * digits, axis=0, dtype=scale.dtype)
+    if digits.max() > 9 or acc.min() < lo or acc.max() > hi:
+        return None
+    return acc
 
 
-def _parse_lines(path: str | PathLike, data: bytes, lo: int, hi: int) -> list[int]:
-    """Parse a file line by line, as text mode reads it; report the first bad line.
-
-    This decides every file the plain path declines.
-    """
+def _parse_lines(path: str | PathLike, piece: bytes, before: int, lo: int, hi: int) -> list[int]:
+    """Parse one piece of a file line by line, numbering its lines after the `before` lines
+    that precede it; report its first bad line. This decides every piece the plain path
+    declines."""
     values = []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                          errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            # Plain digits first: the common line takes one test, not three.
-            if not (text.isdigit() and text.isascii()):
-                if not text.isascii() and _undecodable(text):
-                    raise InputFormatError(f"{path}: line {lineno}: not UTF-8")
-                if not text or text[0] == "#":
-                    continue
-                if not (text[0] == "-" and text[1:].isdigit() and text.isascii()):
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: not an integer: {text!r}"
-                    )
-            try:
-                v = int(text)
-            except ValueError:
-                # Past int()'s digit limit; leading zeros do not count.
-                sign = "-" if text[0] == "-" else ""
-                digits = text.lstrip("-").lstrip("0")
-                if len(digits) > len(str(hi)):
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: value {sign}{digits} outside [{lo}, {hi}]"
-                    ) from None
-                v = int(sign + (digits or "0"))
-            if not lo <= v <= hi:
+    lines = piece.decode("utf-8", "surrogateescape").split("\n")
+    for lineno, line in enumerate(lines, before + 1):
+        text = line.strip()
+        # Plain digits first: the common line takes one test, not three.
+        if not (text.isdigit() and text.isascii()):
+            if not text.isascii() and _undecodable(text):
+                raise InputFormatError(f"{path}: line {lineno}: not UTF-8")
+            if not text or text[0] == "#":
+                continue
+            if not (text[0] == "-" and text[1:].isdigit() and text.isascii()):
+                raise InputFormatError(f"{path}: line {lineno}: not an integer: {text!r}")
+        try:
+            v = int(text)
+        except ValueError:
+            # Past int()'s digit limit; leading zeros do not count.
+            sign = "-" if text[0] == "-" else ""
+            digits = text.lstrip("-").lstrip("0")
+            if len(digits) > len(str(hi)):
                 raise InputFormatError(
-                    f"{path}: line {lineno}: value {v} outside [{lo}, {hi}]"
-                )
-            values.append(v)
+                    f"{path}: line {lineno}: value {sign}{digits} outside [{lo}, {hi}]") from None
+            v = int(sign + (digits or "0"))
+        if not lo <= v <= hi:
+            raise InputFormatError(f"{path}: line {lineno}: value {v} outside [{lo}, {hi}]")
+        values.append(v)
     return values
 
 
@@ -323,17 +302,34 @@ def load_values(path: str | PathLike, lo: int, hi: int) -> np.ndarray:
     line is a hard error (silently clamping would corrupt the value
     distribution the seed attack relies on).
 
-    A plain file (ASCII without '\\r', each line blank, a '#' comment or 1 to
-    len(str(hi)) digits in [lo, hi], as `save_trace` writes under an ASCII header)
-    is converted in pieces of about _CHUNK bytes, one digit gather per piece.
-    Every other file goes to the line parser, which also names the first bad line.
+    The file is cut into pieces after a newline about every _CHUNK bytes. A plain piece
+    (ASCII, each line blank, a '#' comment or 1 to len(str(hi)) digits in [lo, hi], as
+    `save_trace` writes under an ASCII header) is converted by one digit gather; any other
+    goes to the line parser, which also names the first bad line.
     """
     data = _read_input(path)
-    values = _plain_values(data, lo, hi)
-    if values is None:
-        values = np.array(_parse_lines(path, data, lo, hi), dtype=np.int64)
-    values.flags.writeable = False       # nothing else holds it: no copy needed
-    return values
+    buf, size = np.frombuffer(data, dtype=np.uint8), len(data)
+    # Room for every line, taken before any piece's arrays so it reuses the last load's block.
+    out = np.empty(0 if size <= _CHUNK else 1 + sum(
+        np.count_nonzero(buf[i:i + _CHUNK] == ord("\n")) for i in range(0, size, _CHUNK)),
+        np.int64)
+    n = stop = before = counted = 0        # before: the lines that precede byte `counted`
+    while stop < size:
+        start, stop = stop, data.find(b"\n", stop + _CHUNK - 1) + 1 or size
+        piece = data[start:stop]
+        values = _plain_values(piece, lo, hi)
+        if values is None:
+            before += data.count(b"\n", counted, start)
+            counted = start
+            values = _parse_lines(path, piece, before, lo, hi)
+        if not n and stop == size:          # the file's only values: taken as they are
+            out = np.array(values, dtype=np.int64)
+        else:
+            out[n:n + len(values)] = values
+        n += len(values)
+    out.resize(n, refcheck=False)           # in place: nothing else views out
+    out.flags.writeable = False          # nothing else holds it: no copy needed
+    return out
 
 
 def load_trace(path: str | PathLike) -> SampleTrace:

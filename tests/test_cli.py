@@ -559,11 +559,16 @@ class TestCrack:
 
     @pytest.mark.parametrize("flags", [[], ["--optimized"]], ids=["plain", "optimized"])
     def test_t_checked_without_optimized(self, tmp_path, capsys, flags):
-        # The plain search runs at t = 1, but --t is still checked.
+        # The plain search runs at t = 1, so --t alone is refused rather than ignored.
         seq_file, samples_file = self.make_instance(tmp_path)
         assert run("crack", "--sequence", str(seq_file),
                    "--samples", str(samples_file), "--t", "0", *flags) == 2
-        assert stderr_of(capsys) == "error: t must be >= 1\n"
+        assert stderr_of(capsys) == (
+            "error: t must be >= 1\n" if flags else "error: --t needs --optimized\n")
+        if not flags:
+            assert run("crack", "--sequence", str(seq_file),
+                       "--samples", str(samples_file), "--t", "4") == 2
+            assert stderr_of(capsys) == "error: --t needs --optimized\n"
 
     def test_malformed_sequence(self, tmp_path, capsys):
         seq_file = tmp_path / "seq.txt"
@@ -899,7 +904,9 @@ def test_cli_defaults_match_library_defaults():
     assert ext.k == defaults(ExtractorConfig)["window_k"]
     crk = parse(["crack", "--sequence", "x", "--samples", "y"])
     cfg = defaults(CrackConfig)
-    assert (crk.m, crk.t, crk.max_steps) == (cfg["m"], cfg["t"], cfg["max_total_steps"])
+    # --t has no default, so that it can be refused without --optimized; cmd_crack
+    # takes CrackConfig's t when --optimized comes alone.
+    assert (crk.m, crk.t, crk.max_steps) == (cfg["m"], None, cfg["max_total_steps"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -163,26 +163,16 @@ def test_newline_check_sees_each_form():
     assert text_writes_without_newline(source) == [1, 5, 6, 10]
 
 
-def file_reads(source):
-    """Lines that read a file, each with the function that holds it (None at the top
-    level): the builtin open() with a mode that has none of 'w', 'a', 'x' and '+',
-    `.read_bytes()`, `.read_text()` and `fromfile`. A mode that is not a literal counts
-    as a read."""
+def found_in_functions(source, match):
+    """The line of each node of source that match(node) accepts, with the function that
+    holds it (None at the top level)."""
     found = []
 
     def visit(node, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        elif isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None)
-            if name == "open":
-                mode = node.args[1] if len(node.args) > 1 else next(
-                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-                if not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+")):
-                    found.append((node.lineno, where))
-            elif (name or getattr(node.func, "attr", None)) in ("read_bytes", "read_text",
-                                                                "fromfile"):
-                found.append((node.lineno, where))
+        elif match(node):
+            found.append((node.lineno, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -190,11 +180,26 @@ def file_reads(source):
     return found
 
 
+def is_file_read(node):
+    """Whether node reads a file: the builtin open() with a mode that has none of 'w', 'a',
+    'x' and '+', `.read_bytes()`, `.read_text()` or `fromfile`. A mode that is not a literal
+    counts as a read."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None)
+    if name == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax+"))
+    return (name or getattr(node.func, "attr", None)) in ("read_bytes", "read_text", "fromfile")
+
+
 def test_one_reader():
     """samples._read_input is the only code in src/ that reads a file, so every input
     file fails to read with the same error and message."""
     assert {(path.stem, where) for path in MODULES
-            for _, where in file_reads(path.read_text(encoding="utf-8"))} == {
+            for _, where in found_in_functions(path.read_text(encoding="utf-8"),
+                                               is_file_read)} == {
         ("samples", "_read_input")}
 
 
@@ -204,8 +209,35 @@ def test_reader_check_sees_each_form():
               "np.fromfile(p, np.uint8)\ndef f(p):\n    with open(p, mode='rt') as fh:\n"
               "        return fh.read()\np.write_text('x')\nopen(p, 'x')\n"
               "os.open(p, os.O_WRONLY)\nfromfile(p)\n")
-    assert file_reads(source) == [
+    assert found_in_functions(source, is_file_read) == [
         (1, None), (2, None), (6, None), (7, None), (8, None), (9, None), (11, "f"), (16, None)]
+
+
+def knows_line_ends(node):
+    """Whether node is a str or bytes literal holding '\\r', or names TextIOWrapper as a
+    name, an attribute or an import."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+        return ("\r" if isinstance(node.value, str) else b"\r") in node.value
+    names = (getattr(node, "id", None), getattr(node, "attr", None),
+             node.name if isinstance(node, ast.alias) else None)
+    return "TextIOWrapper" in names
+
+
+def test_one_line_end_rule():
+    """samples._read_input is the only code in src/ that knows line ends: nothing else
+    holds a '\\r' or reads through TextIOWrapper, so every input file counts its lines
+    as `_read_input` ends them."""
+    assert {(path.stem, where) for path in MODULES
+            for _, where in found_in_functions(path.read_text(encoding="utf-8"),
+                                               knows_line_ends)} == {("samples", "_read_input")}
+
+
+def test_line_end_check_sees_each_form():
+    source = ("def f(d):\n    return d.replace(b'\\r\\n', b'\\n')\n'\\r'\nx = '\\\\r'\n"
+              "import io\nio.TextIOWrapper(fh)\nfrom io import TextIOWrapper as T\n"
+              "TextIOWrapper\nf'{x}\\r'\nb'\\n'\n'TextIOWrapper'\n")
+    assert found_in_functions(source, knows_line_ends) == [
+        (2, "f"), (3, None), (6, None), (7, None), (8, None), (9, None)]
 
 
 def console_uses(source):

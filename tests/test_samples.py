@@ -15,6 +15,7 @@ from randpipe.samples import (
     InputFormatError,
     _parse_lines,
     _plain_values,
+    _read_input,
     load_trace,
     load_values,
     save_trace,
@@ -192,7 +193,19 @@ def outcome(read):
         return str(exc)
 
 
-def check_plain_path_against_oracle(tmp_path, lo, hi):
+def count_line_parser_calls(monkeypatch):
+    """Record the piece each `_parse_lines` call gets."""
+    calls = []
+    parse_lines = samples._parse_lines
+
+    def counting(path, piece, *args):
+        calls.append(piece)
+        return parse_lines(path, piece, *args)
+    monkeypatch.setattr(samples, "_parse_lines", counting)
+    return calls
+
+
+def check_plain_path_against_oracle(tmp_path, monkeypatch, lo, hi):
     rng = pyrandom.Random(hi)
     bounds = [str(v).encode() for v in (lo - 1, lo, hi, hi + 1)]
     # The longest value line sets the place count; each of these is plain.
@@ -209,8 +222,13 @@ def check_plain_path_against_oracle(tmp_path, lo, hi):
     nine_digits = b"1\n22\n999999999\n123456789\n5\n"
     if hi > 10**9:
         shaped.append(nine_digits)
+    calls = count_line_parser_calls(monkeypatch)
     for data in shaped:
         assert _plain_values(data, lo, hi) is not None, data
+        p = tmp_path / "shaped.txt"
+        p.write_bytes(data)
+        load_values(p, lo, hi)
+    assert calls == []
     # past int()'s 4300-digit limit; leading zeros do not count
     overlong = [b"9" * 5000, b"-" + b"9" * 5000, b"0" * 5000 + b"1024", b"0" * 5000 + b"7",
                 b"-" + b"0" * 5000 + b"3", b"-" + b"0" * 5000]
@@ -226,18 +244,20 @@ def check_plain_path_against_oracle(tmp_path, lo, hi):
         p.write_bytes(data)
         expected = outcome(lambda: load_values_loop(p, lo, hi))
         assert outcome(lambda: load_values(p, lo, hi)) == expected, data
-        assert outcome(lambda: _parse_lines(p, data, lo, hi)) == expected, data
-        fast = _plain_values(data, lo, hi)
+        data = _read_input(p)
+        assert outcome(lambda: _parse_lines(p, data, 0, lo, hi)) == expected, data
+        fast = _plain_values(data, lo, hi) if data else None    # load_values cuts no empty piece
         if fast is not None:
             plain += 1
-            assert fast.dtype == np.int64 and fast.tolist() == expected, data
+            assert fast.tolist() == expected, data
+            assert load_values(p, lo, hi).dtype == np.int64
     # both paths are exercised
     assert 100 < plain < len(files) - 100
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
-def test_plain_path_matches_line_parser(tmp_path, lo, hi):
-    check_plain_path_against_oracle(tmp_path, lo, hi)
+def test_plain_path_matches_line_parser(tmp_path, monkeypatch, lo, hi):
+    check_plain_path_against_oracle(tmp_path, monkeypatch, lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1023), (1, 2**31 - 2)])
@@ -247,7 +267,7 @@ def test_plain_path_matches_line_parser_across_blocks(tmp_path, monkeypatch, chu
     runs of '#' and blank lines, around pieces of comments only and before a
     last line without a newline."""
     monkeypatch.setattr(samples, "_CHUNK", chunk)
-    check_plain_path_against_oracle(tmp_path, lo, hi)
+    check_plain_path_against_oracle(tmp_path, monkeypatch, lo, hi)
 
 
 def count_gathers(monkeypatch):
@@ -276,16 +296,17 @@ def test_digit_gathers_do_not_grow_with_places(monkeypatch):
 
 
 @pytest.mark.parametrize("chunk", [7, None])
-def test_one_digit_gather_per_block(monkeypatch, chunk):
+def test_one_digit_gather_per_block(tmp_path, monkeypatch, chunk):
     """One '#' gather and one digit gather per piece; every piece but the last holds
     at least _CHUNK bytes."""
     if chunk:
         monkeypatch.setattr(samples, "_CHUNK", chunk)
     values = pyrandom.Random(8).choices(range(1024), k=samples._CHUNK + 1)
-    data = ("# capture\n" + "".join(f"{v}\n" for v in values)).encode()
+    p = tmp_path / "c.txt"
+    p.write_text("# capture\n" + "".join(f"{v}\n" for v in values))
     calls = count_gathers(monkeypatch)
-    assert _plain_values(data, 0, 1023).tolist() == values
-    assert len(calls) <= 2 * (len(data) // samples._CHUNK + 1)
+    assert load_values(p, 0, 1023).tolist() == values
+    assert 2 < len(calls) <= 2 * (p.stat().st_size // samples._CHUNK + 1)
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
@@ -311,6 +332,74 @@ def test_benchmark_layout_takes_plain_path(tmp_path, monkeypatch, final_newline)
     assert load_trace(p).values.tolist() == values
 
 
+def capture_file(path, n, end, header):
+    """An n-value capture under a header line, every line ended by `end`."""
+    values = np.random.default_rng(4).integers(0, 1024, n).tolist()
+    path.write_bytes("".join(f"{line}{end}" for line in [header, *values]).encode())
+    return path, values
+
+
+@pytest.mark.parametrize("end, header, calls", [
+    ("\r\n", "# capture", 0), ("\r", "# capture", 0),
+    ("\n", "# captured at 25\u00b0C", 1), ("\r\n", "# captured at 25\u00b0C", 1),
+], ids=["CRLF", "CR", "UTF-8 header", "CRLF, UTF-8 header"])
+def test_line_ends_and_a_header_cost_pieces(tmp_path, monkeypatch, end, header, calls):
+    """Serial.println's '\\r\\n' ends, and lone '\\r' ends, take no line parser call;
+    a UTF-8 header sends its piece, and no other, to the line parser."""
+    p, values = capture_file(tmp_path / "c.txt", 10**5, end, header)
+    parsed = count_line_parser_calls(monkeypatch)
+    assert load_trace(p).values.tolist() == values
+    assert len(parsed) == calls
+    assert all(piece.startswith(header.encode()) for piece in parsed)
+
+
+# Lines the plain path declines that the line parser takes: an NBSP-padded value,
+# leading zeros past the width and -0.
+DECLINED = [b"\xc2\xa05", b"5\xc2\xa0", b"00001", b"0" * 30 + b"9", b"-0", b"-00"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_declined_lines_between_plain_pieces(tmp_path, monkeypatch, chunk):
+    """Values from declined pieces land in line order among the plain pieces', as the
+    oracle reads them; a BOM line among them is the oracle's bad line."""
+    monkeypatch.setattr(samples, "_CHUNK", chunk)
+    rng = pyrandom.Random(chunk)
+    lines = [rng.choice(DECLINED) if rng.random() < 0.05 else b"%d" % rng.randrange(1024)
+             for _ in range(300)]
+    lines[:2] = [b"# capture", DECLINED[0]]
+    p = tmp_path / "f.txt"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    parsed = count_line_parser_calls(monkeypatch)
+    expected = load_values_loop(p, 0, 1023)
+    assert load_values(p, 0, 1023).tolist() == expected
+    assert len(expected) == len(lines) - 1
+    declined = sum(line in DECLINED for line in lines)
+    assert 0 < len(parsed) <= declined
+    if chunk == 1:                  # one line a piece: exactly the declined lines are parsed
+        assert parsed == [line + b"\n" for line in lines if line in DECLINED]
+    lines.insert(200, b"\xef\xbb\xbf# bom")
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    expected = outcome(lambda: load_values_loop(p, 0, 1023))
+    assert expected == f"{p}: line 201: not an integer: '\\ufeff# bom'"
+    assert outcome(lambda: load_values(p, 0, 1023)) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_bad_line_after_a_declined_piece(tmp_path, monkeypatch, chunk):
+    """A bad line in an otherwise plain piece, after a declined piece and plain pieces,
+    is numbered by the lines counted before it."""
+    if chunk:
+        monkeypatch.setattr(samples, "_CHUNK", chunk)
+    n = max(50, samples._CHUNK * 3 // 2)           # two bytes a line: three pieces or more
+    p = tmp_path / "f.txt"
+    p.write_bytes("# captured at 25\u00b0C\n".encode() + b"5\n" * n + b"1024\n" + b"6\n" * 10)
+    expected = outcome(lambda: load_values_loop(p, 0, 1023))
+    assert expected == f"{p}: line {n + 2}: value 1024 outside [0, 1023]"
+    parsed = count_line_parser_calls(monkeypatch)
+    assert outcome(lambda: load_values(p, 0, 1023)) == expected
+    assert len(parsed) == 2         # the header's piece and the bad line's
+
+
 def test_plain_path_peak_memory_below_line_parser(tmp_path, monkeypatch):
     values = np.random.default_rng(3).integers(0, 1024, 10**5).tolist()
     p = write_capture(tmp_path / "c.txt", values, 1000)
@@ -328,10 +417,12 @@ def test_plain_path_peak_memory_below_line_parser(tmp_path, monkeypatch):
     assert plain < peak()
 
 
-def load_peak(tmp_path, n):
-    """load_trace's traced peak on an n-value capture, with the file's size."""
+def load_peak(tmp_path, n, end="\n", header=""):
+    """load_trace's traced peak on an n-value capture, with the file's size. Each line
+    ends in `end`, and `header` goes before the capture's own."""
     values = np.random.default_rng(3).integers(0, 1024, n).tolist()
     p = write_capture(tmp_path / "c.txt", values, 1000)
+    p.write_bytes((header + p.read_text()).replace("\n", end).encode())
     tracemalloc.start()
     try:
         trace = load_trace(p)
@@ -349,13 +440,24 @@ def test_plain_path_peak_memory_bound(tmp_path):
     assert peak < 2_315_949 * 1.1
 
 
-@pytest.mark.parametrize("n", [10**5, 10**6])
-def test_plain_path_peak_memory_beyond_bytes_and_result_is_fixed(tmp_path, n):
+@pytest.mark.parametrize("n, end, header, bound", [
+    (10**5, "\n", "", 1.5), (10**6, "\n", "", 1.5),
+    (10**5, "\r\n", "", 1.5), (10**6, "\r\n", "", 1.5),
+    (10**5, "\n", "# 25\u00b0C\n", 2.0), (10**6, "\n", "# 25\u00b0C\n", 2.0),
+], ids=["100000", "1000000", "CRLF-100000", "CRLF-1000000",
+        "UTF-8 header-100000", "UTF-8 header-1000000"])
+def test_plain_path_peak_memory_beyond_bytes_and_result_is_fixed(tmp_path, n, end, header,
+                                                                 bound):
     """Past the file's bytes and the int64 result, the loader holds one piece's
     arrays: about 17 bytes per byte of a 64 KiB piece, 1.13 MB measured at both sizes.
-    Whole-file line arrays would add over 10 bytes a line at 10^6 lines."""
-    peak, size = load_peak(tmp_path, n)
-    assert peak - (size + 8 * n) < 1.5 * 2**20
+    Whole-file line arrays would add over 10 bytes a line at 10^6 lines.
+
+    A CRLF file loads from bytes one '\\r' a line shorter than the file: 0.97 and
+    0.13 MiB measured. A UTF-8 header sends its piece, and only that piece, to the line
+    parser, whose strings and ints for 64 KiB of lines come to 1.50 and 1.51 MiB
+    measured; the bound is 2 MiB. A whole-file line parser added 2.8 and 28.1 MiB."""
+    peak, size = load_peak(tmp_path, n, end, header)
+    assert peak - (size + 8 * n) < bound * 2**20
 
 
 def test_save_load_round_trip(tmp_path):
