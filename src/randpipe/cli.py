@@ -24,10 +24,21 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+# The places each float field prints to; _emit refuses a float whose key is not here.
+_PLACES = {"yield-ratio": 6, "estimated-bps": 2, "x1": 4, "x3": 4, "x4": 4}
+
+
 def _emit(fields: dict) -> None:
-    """Write fields in order as `key: value` lines, in one write; a bool prints as PASS or FAIL."""
-    sys.stdout.write("".join([f"{key}: {'PASS' if v is True else 'FAIL' if v is False else v}\n"
-                              for key, v in fields.items()]))
+    """Write fields in order as `key: value` lines, in one write. A bool prints as PASS or
+    FAIL, a float to its `_PLACES`, and a dict as space-separated `k=v` pairs."""
+    lines = []
+    for key, v in fields.items():
+        if type(v) is float:
+            v = f"{v:.{_PLACES[key]}f}"
+        elif type(v) is dict:
+            v = " ".join([f"{k}={x}" for k, x in v.items()])
+        lines.append(f"{key}: {'PASS' if v is True else 'FAIL' if v is False else v}\n")
+    sys.stdout.write("".join(lines))
 
 
 @contextlib.contextmanager
@@ -76,9 +87,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     with _writing(args.out):
         extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
-    fields = {"samples-in": len(trace), "bits-out": bits.size, "yield-ratio": f"{ratio:.6f}"}
+    fields = {"samples-in": len(trace), "bits-out": bits.size, "yield-ratio": ratio}
     if args.rate is not None:
-        fields["estimated-bps"] = f"{ratio * args.rate:.2f}"
+        fields["estimated-bps"] = ratio * args.rate
     _emit(fields)
     return 0
 
@@ -125,7 +136,7 @@ def cmd_crack(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.sequence}: no observed values")
     result = crack.find_seed(seq, cfg, trace)
     if args.stats:
-        _emit({"stats": f"total-steps={result.total_steps}"})
+        _emit({"stats": {"total-steps": result.total_steps}})
     if result.seed is None:
         _err(f"seed not found within {cfg.max_total_steps} steps")
         return 1

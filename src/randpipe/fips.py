@@ -145,19 +145,19 @@ def fips_suite(s: Sequence[int] | np.ndarray) -> TestReport:
     )
 
 
-def format_report(report: TestReport) -> dict[str, int | str | bool]:
-    """The report's fields in print order: x1, x3, x4 as text to 4 places, verdicts as bools."""
+def format_report(report: TestReport) -> dict[str, int | float | bool]:
+    """The report's fields in print order, verdicts as bools."""
     return {
         "n0": REQUIRED_LENGTH - report.n1,
         "n1": report.n1,
-        "x1": f"{report.x1:.4f}",
+        "x1": report.x1,
         "monobit_df": MONOBIT_DF,
         "monobit": report.monobit,
-        "x3": f"{report.x3:.4f}",
+        "x3": report.x3,
         "poker_df": POKER_DF,
         "poker": report.poker,
         **dict(zip(_RUN_COUNT_KEYS, report.block_counts + report.gap_counts)),
-        "x4": f"{report.x4:.4f}",
+        "x4": report.x4,
         "runs_df": RUNS_DF,
         "runs": report.runs,
         "longest_run": report.longest_run,

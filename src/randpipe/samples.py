@@ -107,6 +107,8 @@ class SynthModel:
             object.__setattr__(self, "replay_values", tuple(map(_as_int, self.replay_values)))
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.replay_values is not None and self.kind != "replay":
+            raise ValueError(f"replay values are for the replay model, not {self.kind!r}")
         if self.kind == "replay":
             if not self.replay_values:
                 raise ValueError("replay model needs a non-empty replay_values")

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -237,6 +238,15 @@ class TestSimulate:
         assert run("simulate", "--model", "replay", "--replay-file", str(src),
                    "--n", "5", "--out", str(out)) == 0
         assert load_trace(out).values.tolist() == [7, 8, 9, 7, 8]
+
+    def test_replay_file_needs_the_replay_model(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        write_lines(src, [7, 8, 9])
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", "band", "--replay-file", str(src),
+                   "--n", "3", "--out", str(out)) == 2
+        assert stderr_of(capsys) == "error: replay values are for the replay model, not 'band'\n"
+        assert not out.exists()
 
 
 SIMULATE_HELP = """\
@@ -777,6 +787,41 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("name", GOLDEN_CRACK)
     def test_crack_stats(self, readme_files, capsys, name):
         assert_golden_crack(readme_files, capsys, name)
+
+
+def test_records_hold_numbers(readme_files, capsys, tmp_path, monkeypatch):
+    """Every record a subcommand hands to _emit holds numbers, not text, and comes back
+    unchanged from JSON: how a value prints is decided by _emit alone."""
+    records = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda fields: records.append(fields) or emit(fields))
+    good, zeros = tmp_path / "good.txt", tmp_path / "zeros.txt"
+    good.write_text("".join(map(str, crypto_bits("good", 20000))))
+    zeros.write_text("0" * 20000)
+    capture, out = str(readme_files / "capture.txt"), str(tmp_path / "out.txt")
+    for argv, rc in [
+        (["extract", "--in", capture, "--algo", "leastsign", "--rate", "10000", "--out", out], 0),
+        (["intbits", "--in", capture, "--out", out], 0),
+        (["fipstest", "--in", str(good)], 0),
+        (["fipstest", "--in", str(zeros)], 1),
+        (["stats", "--in", capture, "--hist-out", out], 0),
+        (["crack", "--sequence", str(readme_files / "observed.txt"), "--samples", capture,
+          "--stats"], 0),
+    ]:
+        assert run(*argv) == rc
+    capsys.readouterr()
+    assert len(records) == 6
+    values = [v for fields in records for v in fields.values()]
+    values += [v for d in values if type(d) is dict for v in d.values()]
+    assert {type(v) for v in values} == {int, float, bool, dict}
+    assert all(json.loads(json.dumps(fields)) == fields for fields in records)
+
+
+def test_emit_refuses_a_float_without_places(capsys):
+    # A float whose places are not in cli._PLACES would print at full precision.
+    with pytest.raises(KeyError):
+        cli._emit({"samples-in": 3, "ratio": 0.5})
+    assert capsys.readouterr().out == ""
 
 
 class TestParserReuse:

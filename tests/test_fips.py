@@ -283,7 +283,7 @@ class TestSuite:
         fields = format_report(fips_suite(ALL_ZEROS))
         assert list(fields)[0] == "n0" and list(fields)[-1] == "OVERALL"
         assert fields["OVERALL"] is False
-        assert (fields["n0"], fields["n1"], fields["x1"]) == (20000, 0, "20000.0000")
+        assert (fields["n0"], fields["n1"], fields["x1"]) == (20000, 0, 20000.0)
         for key in ("x3", "block_1", "gap_6", "x4", "longest_run",
                     "monobit", "poker", "runs", "long_runs"):
             assert key in fields
@@ -423,7 +423,10 @@ class TestSuiteOracle:
             assert all(type(x) is float for x in (r.x1, r.x3, r.x4))
             verdicts = (r.monobit, r.poker, r.runs, r.long_runs, r.overall)
             assert all(type(v) is bool for v in verdicts)
-            assert all(type(v) in (int, str, bool) for v in format_report(r).values())
+            printed = format_report(r)
+            assert all(type(v) in (int, float, bool) for v in printed.values())
+            floats = [v for v in printed.values() if type(v) is float]
+            assert len(floats) == 3 and all(a is b for a, b in zip(floats, (r.x1, r.x3, r.x4)))
             # json rejects numpy scalars, so the record must round-trip through it.
             fields = r._asdict()
             assert json.loads(json.dumps(fields)) == {

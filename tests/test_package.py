@@ -240,6 +240,36 @@ def test_line_end_check_sees_each_form():
         (2, "f"), (3, None), (6, None), (7, None), (8, None), (9, None)]
 
 
+def formats_values(node):
+    """Whether node formats a value: an f-string field with a format spec (a `!r`
+    conversion alone is not one), a call of format() or of a `.format` method, or `%`
+    with a string on its left."""
+    if isinstance(node, ast.FormattedValue):
+        return node.format_spec is not None
+    if isinstance(node, ast.Call):
+        return "format" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+            and (isinstance(node.left, ast.JoinedStr)
+                 or isinstance(getattr(node.left, "value", None), (str, bytes))))
+
+
+def test_one_place_formats_numbers():
+    """cli._emit is the only code in src/ that formats a value, so every float prints to
+    the places cli._PLACES gives its key, and every record holds numbers until printed."""
+    assert {(path.stem, where) for path in MODULES
+            for _, where in found_in_functions(path.read_text(encoding="utf-8"),
+                                               formats_values)} == {("cli", "_emit")}
+
+
+def test_format_check_sees_each_form():
+    source = ("f'{x:.4f}'\nf'{x!r}'\nf'{x}'\nformat(x, '.2f')\n'{}'.format(x)\n'%d' % x\n"
+              "x % 2\ndef f(x, w):\n    return f'{x:>{w}}'\nb'%d' % x\nf'{x}%' % y\n"
+              "fmt.format\nf'{x!r:>8}'\n")
+    assert found_in_functions(source, formats_values) == [
+        (1, None), (4, None), (5, None), (6, None), (9, "f"), (10, None), (11, None),
+        (13, None)]
+
+
 def console_uses(source):
     """Lines that call print() or name sys.stdout or sys.stderr, as an attribute or
     an import, with the name used."""

@@ -782,6 +782,13 @@ class TestSynthModels:
         t = synth_trace(m, 7)
         assert t.values.tolist() == [9, 8, 7, 9, 8, 7, 9]
 
+    @pytest.mark.parametrize("kind", [k for k in samples.SYNTH_KINDS if k != "replay"])
+    def test_replay_values_need_the_replay_model(self, kind):
+        for values in [(9, 8, 7), ()]:
+            with pytest.raises(ValueError) as exc:
+                SynthModel(kind=kind, replay_values=values)
+            assert str(exc.value) == f"replay values are for the replay model, not '{kind}'"
+
     def test_n_must_be_positive(self):
         m = SynthModel(kind="band")
         with pytest.raises(ValueError):
