@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import os
@@ -41,16 +40,6 @@ def _emit(fields: dict) -> None:
     sys.stdout.write("".join(lines))
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """Mark an OSError raised in the block as a failure to write the output file path."""
-    try:
-        yield
-    except OSError as exc:
-        exc.out_file = path
-        raise
-
-
 _LCG_CHUNK = 1 << 16      # outputs per stream call in lcg; bounds its memory
 # The SynthModel fields that simulate takes as options, in field order.
 _MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay",
@@ -58,6 +47,12 @@ _MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # An option its model does not read is refused, unless it cannot be told from its default.
+    for name in _MODEL_OPTIONS:
+        unread = name not in samples.MODEL_FIELDS[args.model]
+        if unread and getattr(args, name) != getattr(samples.SynthModel, name):
+            option = name.replace("_", "-")
+            raise ValueError(f"--{option} is not an option of the {args.model} model")
     replay_values = None
     if args.replay_file:
         replay_values = tuple(samples.load_trace(args.replay_file).values.tolist())
@@ -69,8 +64,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.stamp:
         header = (f"model={args.model} n={args.n} rng_seed={args.seed} "
                   f"generated={datetime.now(timezone.utc).isoformat()}")
-    with _writing(args.out):
-        samples.save_trace(trace, args.out, header=header)
+    samples.save_trace(trace, args.out, header=header)
     return 0
 
 
@@ -84,8 +78,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if len(trace) == 0:
         raise extract.InsufficientSamplesError(f"{args.infile}: no samples")
     bits = extract.extract(trace, cfg)
-    with _writing(args.out):
-        extract.write_bits(bits, args.out)
+    extract.write_bits(bits, args.out)
     ratio = bits.size / len(trace)
     fields = {"samples-in": len(trace), "bits-out": bits.size, "yield-ratio": ratio}
     if args.rate is not None:
@@ -107,8 +100,7 @@ def cmd_fipstest(args: argparse.Namespace) -> int:
 def cmd_intbits(args: argparse.Namespace) -> int:
     trace = samples.load_trace(args.infile)
     bits = fips.ints_to_bits(trace)
-    with _writing(args.out):
-        extract.write_bits(bits, args.out)
+    extract.write_bits(bits, args.out)
     _emit({"samples-in": len(trace), "bits-out": bits.size})
     return 0
 
@@ -153,9 +145,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise extract.InsufficientSamplesError(f"{args.infile}: no samples")
     st = samples.trace_stats(trace)
     seen = st.counts.nonzero()[0]
-    with _writing(args.out), open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("value,count\n" + "".join(
-            f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist())))
+    with samples._open_output(args.out) as fh:
+        fh.write(("value,count\n" + "".join(
+            f"{v},{c}\n" for v, c in zip(seen.tolist(), st.counts[seen].tolist()))).encode())
     _emit({"samples": st.total, "distinct": st.distinct, "min": st.min_value, "max": st.max_value})
     return 0
 
@@ -252,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     whole parser runs only if argv names none or arguments are left over.
 
     Reads turn OSError into a format error, so an OSError that reaches
-    here comes from writing: to the output file, as `_writing` marks it,
+    here comes from writing: to the output file, as `samples._open_output` marks it,
     or else to stdout. A stdout pipe whose reader has gone exits 1 without
     a message, as a reader that stops early is not an error to report.
     """

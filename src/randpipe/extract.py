@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .avrprng import _as_int
-from .samples import InputFormatError, SampleTrace, _read_input, _undecodable
+from .samples import InputFormatError, SampleTrace, _open_output, _read_input, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
 
@@ -147,10 +147,10 @@ def extract(trace: SampleTrace, cfg: ExtractorConfig) -> np.ndarray:
 
 def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
     """Write a bit file: ASCII '0'/'1', 80 bits per line, each ending in a newline."""
-    bits = as_bit_array(bits)           # before open(): a bad input leaves the file alone
+    bits = as_bit_array(bits)           # before opening: a bad input leaves the file alone
     lines = bits[:bits.size - bits.size % BITS_PER_LINE].reshape(-1, BITS_PER_LINE)
     rows = np.full((min(len(lines), _WRITE_LINES), BITS_PER_LINE + 1), ord("\n"), np.uint8)
-    with open(path, "wb") as fh:
+    with _open_output(path) as fh:
         for i in range(0, len(lines), _WRITE_LINES):     # the last may fill part of rows
             np.add(lines[i:i + _WRITE_LINES], ord("0"), out=rows[:len(lines) - i, :-1])
             fh.write(rows[:len(lines) - i])
@@ -159,9 +159,9 @@ def write_bits(bits: Sequence[int] | np.ndarray, path: str | PathLike) -> None:
 
 def read_bits(path: str | PathLike) -> np.ndarray:
     """Read a bit file; whitespace (including newlines) is ignored."""
-    data = _read_input(path)
-    bits = np.frombuffer(data.replace(b"\n", b""), np.uint8) - ord("0")
-    return bits if bits.max(initial=0) <= 1 else _text_bits(path, data)
+    # No name holds the file's bytes, so they are freed before the subtraction.
+    bits = np.frombuffer(_read_input(path).replace(b"\n", b""), np.uint8) - ord("0")
+    return bits if bits.max(initial=0) <= 1 else _text_bits(path, _read_input(path))
 
 
 def _text_bits(path: str | PathLike, data: bytes) -> np.ndarray:

@@ -11,6 +11,7 @@ interference) with no claim of physical fidelity.
 from __future__ import annotations
 
 import random as _pyrandom
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil, isfinite, log
 from os import PathLike
@@ -24,7 +25,11 @@ _SAVE_CHUNK = 1 << 14      # values per write in save_trace; bounds its memory
 _CHUNK = 1 << 16           # bytes per piece in load_values; bounds its per-line arrays
 _LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line for each value
 
-SYNTH_KINDS = ("band", "drop", "interference", "replay")
+_BAND_FIELDS = ("center", "halfwidth", "stickiness", "noise_width")
+# The SynthModel fields each kind reads, besides rng_seed and replay_values.
+MODEL_FIELDS = {"band": _BAND_FIELDS, "drop": _BAND_FIELDS + ("transient_start", "decay"),
+                "interference": _BAND_FIELDS + ("amplitude", "period"), "replay": ()}
+SYNTH_KINDS = tuple(MODEL_FIELDS)
 
 
 class InputFormatError(ValueError):
@@ -217,6 +222,18 @@ def _read_input(path: str | PathLike) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
+@contextmanager
+def _open_output(path: str | PathLike):
+    """An output file opened to write bytes: the one place that opens one. An OSError in the
+    block (open, write or close) gets the path as `out_file`, so its message names the file."""
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        exc.out_file = path
+        raise
+
+
 def _undecodable(text: str) -> bool:
     """Whether text holds bytes that are not UTF-8. Inputs are decoded with surrogateescape,
     which makes each such byte a lone surrogate, so parsers report it in line order."""
@@ -342,10 +359,11 @@ def load_trace(path: str | PathLike) -> SampleTrace:
 def save_trace(trace: SampleTrace, path: str | PathLike,
                header: str | None = None) -> None:
     """Write a trace in the sample file format; optional '#' header line."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"# {line}\n" for line in (header or "").splitlines())
+    with _open_output(path) as fh:
+        fh.writelines(f"# {line}\n".encode() for line in (header or "").splitlines())
         for i in range(0, len(trace), _SAVE_CHUNK):
-            fh.write("".join(map(_LINES.__getitem__, trace.values[i:i + _SAVE_CHUNK].tolist())))
+            chunk = trace.values[i:i + _SAVE_CHUNK].tolist()
+            fh.write("".join(map(_LINES.__getitem__, chunk)).encode())
 
 
 @dataclass(frozen=True)

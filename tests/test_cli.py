@@ -248,6 +248,30 @@ class TestSimulate:
         assert stderr_of(capsys) == "error: replay values are for the replay model, not 'band'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model,argv", [
+        ("band", ["--decay", "5", "--amplitude", "-3"]),
+        ("drop", ["--period", "7"]),
+        ("interference", ["--transient-start", "0", "--noise-width", "1"]),
+        ("replay", ["--halfwidth", "-1", "--stickiness", "9", "--replay-file", "MISSING"]),
+    ], ids=["band", "drop", "interference", "replay"])
+    def test_option_the_model_ignores_refused(self, tmp_path, capsys, model, argv):
+        # Refused before the replay file is read: the missing file is not the error.
+        out = tmp_path / "t.txt"
+        argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+        assert run("simulate", "--model", model, *argv, "--n", "3", "--out", str(out)) == 2
+        assert stderr_of(capsys) == f"error: {argv[0]} is not an option of the {model} model\n"
+        assert not out.exists()
+
+    def test_seed_and_default_values_pass_for_every_model(self, tmp_path):
+        src = tmp_path / "src.txt"
+        write_lines(src, [7, 8, 9])
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", "replay", "--replay-file", str(src), "--seed", "4",
+                   "--center", "512", "--decay", "0.999", "--stamp", "--n", "4",
+                   "--out", str(out)) == 0
+        assert out.read_text().startswith("# model=replay n=4 rng_seed=4 ")
+        assert load_trace(out).values.tolist() == [7, 8, 9, 7]
+
 
 SIMULATE_HELP = """\
 usage: randpipe simulate [-h] --model {band,drop,interference,replay} --n N
@@ -973,11 +997,19 @@ def test_unwritable_output(tmp_path, capsys, argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_output_file(tmp_path, capsys):
-    # A write that fails after open() succeeds names the file, as an open() failure does.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "band", "--n", "10", "--out"],
+    ["extract", "--in", "TRACE", "--algo", "leastsign", "--no-vn", "--out"],
+    ["intbits", "--in", "TRACE", "--out"],
+    ["stats", "--in", "TRACE", "--hist-out"],
+], ids=lambda argv: argv[0])
+def test_full_output_file(tmp_path, capsys, argv):
+    # A write that fails after open() succeeds names the file, as an open() failure does;
+    # an output this small fails only when the file is closed.
     trace_file = tmp_path / "t.txt"
     write_lines(trace_file, [0, 1] * 50)
-    assert run("intbits", "--in", str(trace_file), "--out", "/dev/full") == 1
+    argv = [str(trace_file) if a == "TRACE" else a for a in argv]
+    assert run(*argv, "/dev/full") == 1
     assert stderr_of(capsys) == (
         "error: cannot write /dev/full: [Errno 28] No space left on device\n")
 
@@ -1036,7 +1068,6 @@ def test_written_lines_end_in_lf_on_every_platform(tmp_path, monkeypatch):
         fh.write("1\n")
     assert probe.read_bytes() == b"1\r\n"
     monkeypatch.setattr(samples, "open", crlf_open, raising=False)
-    monkeypatch.setattr(cli, "open", crlf_open, raising=False)
     trace_file, hist = tmp_path / "t.txt", tmp_path / "h.csv"
     samples.save_trace(SampleTrace(np.array([5, 5, 7])), trace_file, header="capture\nnotes")
     assert trace_file.read_bytes() == b"# capture\n# notes\n5\n5\n7\n"

@@ -417,6 +417,19 @@ class TestBitFiles:
                                for row in bits.reshape(250, 80)))
         assert np.array_equal(read_bits(p), bits)
 
+    def test_read_holds_two_copies_of_the_file_at_most(self, tmp_path):
+        # The bytes, the bytes without newlines and the result, all live at once, take 3x.
+        p = tmp_path / "bits.txt"
+        write_bits(np.random.default_rng(47).integers(0, 2, 4 * 10**6, np.uint8), p)
+        tracemalloc.start()
+        try:
+            bits = read_bits(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.size == 4 * 10**6
+        assert peak <= 2 * p.stat().st_size + 2**20
+
     def test_eighty_bits_per_line(self, tmp_path):
         p = tmp_path / "bits.txt"
         write_bits(np.ones(200, dtype=np.uint8), p)

@@ -133,36 +133,6 @@ def test_argparse_private_check_sees_each_form():
         (2, "_subparsers"), (3, "_actions"), (3, "_group_actions"), (4, "_actions")]
 
 
-def text_writes_without_newline(source):
-    """Lines that call open() to write in text mode without `newline=`: such a file
-    ends its lines in os.linesep, which is '\\r\\n' on Windows. A mode that is not
-    a literal counts as a text write."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
-            continue
-        mode = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
-        mode = mode.value if isinstance(mode, ast.Constant) else "w"
-        newline = len(node.args) > 5 or any(k.arg == "newline" for k in node.keywords)
-        if set(mode) & set("wax+") and "b" not in mode and not newline:
-            found.append(node.lineno)
-    return found
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_text_writes_set_newline(path):
-    assert text_writes_without_newline(path.read_text(encoding="utf-8")) == []
-
-
-def test_newline_check_sees_each_form():
-    source = ("open(p, 'w', encoding='utf-8')\nopen(p, 'w', newline='')\nopen(p, 'wb')\n"
-              "open(p)\nopen(p, mode='a')\nopen(p, 'r+', encoding='utf-8')\n"
-              "open(p, 'x', -1, 'utf-8', None, '')\nopen(p, 'rb')\nos.open(p, os.O_WRONLY)\n"
-              "open(p, m)\nopen(p, mode='ab+')\nopen(p, encoding='utf-8')\n")
-    assert text_writes_without_newline(source) == [1, 5, 6, 10]
-
-
 def found_in_functions(source, match):
     """The line of each node of source that match(node) accepts, with the function that
     holds it (None at the top level)."""
@@ -211,6 +181,63 @@ def test_reader_check_sees_each_form():
               "os.open(p, os.O_WRONLY)\nfromfile(p)\n")
     assert found_in_functions(source, is_file_read) == [
         (1, None), (2, None), (6, None), (7, None), (8, None), (9, None), (11, "f"), (16, None)]
+
+
+def is_file_write(node):
+    """Whether node writes a file: the builtin open() with a mode that has 'w', 'a', 'x' or
+    '+', `.write_bytes()`, `.write_text()`, `tofile` or `savetxt`. A mode that is not a
+    literal counts as a write. `os.open` does not count."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None)
+    if name == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+    return (name or getattr(node.func, "attr", None)) in (
+        "write_bytes", "write_text", "tofile", "savetxt")
+
+
+def is_binary_open(node):
+    """Whether node is the builtin open() with a literal mode that has 'b'."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), None)
+    return isinstance(mode, ast.Constant) and "b" in mode.value
+
+
+def test_one_writer():
+    """samples._open_output is the only code in src/ that writes a file, so every output
+    file fails to write with the same message."""
+    assert {(path.stem, where) for path in MODULES
+            for _, where in found_in_functions(path.read_text(encoding="utf-8"),
+                                               is_file_write)} == {
+        ("samples", "_open_output")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_text_writes_set_newline(path):
+    """Every file write in the module opens in binary mode, so its lines end in '\\n' on
+    every platform; a text-mode write without `newline=` ends them in os.linesep."""
+    source = path.read_text(encoding="utf-8")
+    assert set(found_in_functions(source, is_file_write)) <= set(
+        found_in_functions(source, is_binary_open))
+
+
+def test_writer_check_sees_each_form():
+    source = ("open(p, 'w', encoding='utf-8')\nopen(p, 'w', newline='')\nopen(p, 'wb')\n"
+              "open(p)\nopen(p, mode='a')\nopen(p, 'r+', encoding='utf-8')\n"
+              "open(p, 'x', -1, 'utf-8', None, '')\nopen(p, 'rb')\nos.open(p, os.O_WRONLY)\n"
+              "open(p, m)\nopen(p, mode='ab+')\nopen(p, encoding='utf-8')\n"
+              "Path(p).write_text('x')\np.write_bytes(b'')\narr.tofile(p)\nnp.savetxt(p, a)\n"
+              "def f(p):\n    with open(p, mode='xb') as fh:\n        fh.write(b'')\n"
+              "p.read_bytes()\nnp.fromfile(p)\nsys.stdout.write('x')\n")
+    assert found_in_functions(source, is_file_write) == [
+        (1, None), (2, None), (3, None), (5, None), (6, None), (7, None), (10, None),
+        (11, None), (13, None), (14, None), (15, None), (16, None), (18, "f")]
+    assert found_in_functions(source, is_binary_open) == [
+        (3, None), (8, None), (11, None), (18, "f")]
 
 
 def knows_line_ends(node):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random as pyrandom
 import re
@@ -788,6 +789,20 @@ class TestSynthModels:
             with pytest.raises(ValueError) as exc:
                 SynthModel(kind=kind, replay_values=values)
             assert str(exc.value) == f"replay values are for the replay model, not '{kind}'"
+
+    @pytest.mark.parametrize("kind", samples.SYNTH_KINDS)
+    def test_model_fields_are_the_fields_each_kind_reads(self, kind):
+        """A field outside the kind's MODEL_FIELDS entry leaves its trace as it is, and one
+        inside it changes the trace, so `simulate` refuses just the options a model ignores."""
+        others = {"center": 500, "halfwidth": 5, "stickiness": 0.5, "transient_start": 0,
+                  "decay": 0.5, "amplitude": 3.0, "period": 7.0, "noise_width": 2}
+        defaults = {"rng_seed": 3, "replay_values": (9, 8, 7) if kind == "replay" else None}
+        trace = synth_trace(SynthModel(kind, **defaults), 2000).values.tolist()
+        assert set(others) == {f.name for f in dataclasses.fields(SynthModel)} - {
+            "kind", *defaults}
+        for name, value in others.items():
+            changed = synth_trace(SynthModel(kind, **defaults, **{name: value}), 2000)
+            assert (changed.values.tolist() != trace) == (name in samples.MODEL_FIELDS[kind])
 
     def test_n_must_be_positive(self):
         m = SynthModel(kind="band")
