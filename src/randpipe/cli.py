@@ -41,24 +41,15 @@ def _emit(fields: dict) -> None:
 
 
 _LCG_CHUNK = 1 << 16      # outputs per stream call in lcg; bounds its memory
-# The SynthModel fields that simulate takes as options, in field order.
-_MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay",
-                  "amplitude", "period", "noise_width")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    # An option its model does not read is refused, unless it cannot be told from its default.
-    for name in _MODEL_OPTIONS:
-        unread = name not in samples.MODEL_FIELDS[args.model]
-        if unread and getattr(args, name) != getattr(samples.SynthModel, name):
-            option = name.replace("_", "-")
-            raise ValueError(f"--{option} is not an option of the {args.model} model")
     replay_values = None
     if args.replay_file:
         replay_values = tuple(samples.load_trace(args.replay_file).values.tolist())
     model = samples.SynthModel(
         kind=args.model, rng_seed=args.seed, replay_values=replay_values,
-        **{name: getattr(args, name) for name in _MODEL_OPTIONS})
+        **{name: getattr(args, name) for name in samples.MODEL_OPTIONS})
     trace = samples.synth_trace(model, args.n)
     header = None
     if args.stamp:
@@ -169,7 +160,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--seed", type=int, default=samples.SynthModel.rng_seed,
                    help="model RNG seed")
     p.add_argument("--out", required=True, help="output sample file")
-    for name in _MODEL_OPTIONS:
+    for name in samples.MODEL_OPTIONS:
         default = getattr(samples.SynthModel, name)
         p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     p.add_argument("--replay-file", help="sample file to cycle (replay model)")

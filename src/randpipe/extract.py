@@ -29,6 +29,7 @@ from .avrprng import _as_int
 from .samples import InputFormatError, SampleTrace, _open_output, _read_input, _undecodable
 
 ALGORITHMS = ("mean", "updown", "mixmeanupdown", "leastsign", "twoleastsign")
+_WINDOWED = ("mean", "mixmeanupdown")      # the algorithms that read window_k
 
 BITS_PER_LINE = 80
 _WRITE_LINES = 1 << 14     # lines per write in write_bits; bounds its memory
@@ -59,6 +60,8 @@ class ExtractorConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         object.__setattr__(self, "window_k", _as_int(self.window_k))
+        if self.algorithm not in _WINDOWED and self.window_k != ExtractorConfig.window_k:
+            raise ValueError(f"window_k is not read by the {self.algorithm} algorithm")
         if self.window_k < 1:
             raise ValueError("window_k must be >= 1")
 

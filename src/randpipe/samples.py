@@ -13,7 +13,7 @@ from __future__ import annotations
 import random as _pyrandom
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import ceil, isfinite, log
+from math import isfinite
 from os import PathLike
 
 import numpy as np
@@ -26,10 +26,14 @@ _CHUNK = 1 << 16           # bytes per piece in load_values; bounds its per-line
 _LINES = tuple(f"{v}\n" for v in range(SAMPLE_MAX + 1))   # save_trace's line for each value
 
 _BAND_FIELDS = ("center", "halfwidth", "stickiness", "noise_width")
-# The SynthModel fields each kind reads, besides rng_seed and replay_values.
+# The SynthModel fields each kind reads, besides rng_seed; SynthModel refuses the others.
 MODEL_FIELDS = {"band": _BAND_FIELDS, "drop": _BAND_FIELDS + ("transient_start", "decay"),
-                "interference": _BAND_FIELDS + ("amplitude", "period"), "replay": ()}
+                "interference": _BAND_FIELDS + ("amplitude", "period"),
+                "replay": ("replay_values",)}
 SYNTH_KINDS = tuple(MODEL_FIELDS)
+# The SynthModel fields that simulate takes as options, in field order.
+MODEL_OPTIONS = ("center", "halfwidth", "stickiness", "transient_start", "decay",
+                 "amplitude", "period", "noise_width")
 
 
 class InputFormatError(ValueError):
@@ -112,15 +116,17 @@ class SynthModel:
             object.__setattr__(self, "replay_values", tuple(map(_as_int, self.replay_values)))
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.replay_values is not None and self.kind != "replay":
-            raise ValueError(f"replay values are for the replay model, not {self.kind!r}")
+        # A field its kind does not read must hold its default, so every check below passes it.
+        for name in MODEL_OPTIONS + ("replay_values",):
+            unread = name not in MODEL_FIELDS[self.kind]
+            if unread and getattr(self, name) != getattr(SynthModel, name):
+                raise ValueError(f"{name} is not read by the {self.kind} model")
         if self.kind == "replay":
             if not self.replay_values:
                 raise ValueError("replay model needs a non-empty replay_values")
             for v in self.replay_values:
                 if not 0 <= v <= SAMPLE_MAX:
                     raise ValueError(f"replay value {v} outside [0, {SAMPLE_MAX}]")
-            return
         if self.halfwidth < 0:
             raise ValueError("halfwidth must be >= 0")
         if self.center - self.halfwidth < 0 or self.center + self.halfwidth > SAMPLE_MAX:
@@ -134,18 +140,16 @@ class SynthModel:
             raise ValueError("noise_width must be >= 0")
         if self.noise_width > self.halfwidth:
             raise ValueError("noise_width must not exceed halfwidth")
-        if self.kind == "drop":
-            if not 0 <= self.transient_start <= SAMPLE_MAX:
-                raise ValueError("transient_start outside sample range")
-            if not 0.0 < self.decay < 1.0:
-                raise ValueError("decay must be in (0, 1)")
-        if self.kind == "interference":
-            if self.amplitude < 0:
-                raise ValueError("amplitude must be >= 0")
-            if not isfinite(self.amplitude):
-                raise ValueError("amplitude must be finite")
-            if not self.period > 0:
-                raise ValueError("period must be positive")
+        if not 0 <= self.transient_start <= SAMPLE_MAX:
+            raise ValueError("transient_start outside sample range")
+        if not 0.0 < self.decay < 1.0:
+            raise ValueError("decay must be in (0, 1)")
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be >= 0")
+        if not isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if not self.period > 0:
+            raise ValueError("period must be positive")
 
 
 def _band_walk(model: SynthModel, n: int, rng: _pyrandom.Random) -> list[int]:
@@ -194,14 +198,13 @@ def synth_trace(model: SynthModel, n: int) -> SampleTrace:
         arr = np.array(_band_walk(model, n, _pyrandom.Random(model.rng_seed)), dtype=np.int64)
     if model.kind == "drop":
         # offset, offset*decay, ... as a loop folds it: offset * cumprod(decay) rounds differently.
-        # |term| never grows and np.rint makes it 0 once it is <= 0.5, so the fold stops
-        # there: just past where log puts that term if it is small enough, else at n.
-        offset = model.transient_start - model.center
-        stop = min(n, ceil(log(0.5 / abs(offset)) / log(model.decay)) + 2) if offset else 1
-        for stop in (stop, n):
-            term = np.multiply.accumulate(np.append(offset, np.full(stop - 1, model.decay)))
-            if abs(term[-1]) <= 0.5 or stop == n:
-                break
+        # |term| never grows and np.rint makes it 0 once it is <= 0.5, so the fold stops there
+        # or at n. Each round continues it from its last term and at most doubles its length.
+        term = np.array([float(model.transient_start - model.center)])
+        while abs(term[-1]) > 0.5 and term.size < n:
+            more = np.full(min(term.size, n - term.size) + 1, model.decay)
+            more[0] = term[-1]
+            term = np.append(term, np.multiply.accumulate(more)[1:])
     elif model.kind == "interference":
         term = model.amplitude * np.sin(2.0 * np.pi * np.arange(n) / model.period)
     if model.kind in ("drop", "interference"):

@@ -245,21 +245,31 @@ class TestSimulate:
         out = tmp_path / "t.txt"
         assert run("simulate", "--model", "band", "--replay-file", str(src),
                    "--n", "3", "--out", str(out)) == 2
-        assert stderr_of(capsys) == "error: replay values are for the replay model, not 'band'\n"
+        assert stderr_of(capsys) == "error: replay_values is not read by the band model\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("model,argv", [
         ("band", ["--decay", "5", "--amplitude", "-3"]),
         ("drop", ["--period", "7"]),
         ("interference", ["--transient-start", "0", "--noise-width", "1"]),
-        ("replay", ["--halfwidth", "-1", "--stickiness", "9", "--replay-file", "MISSING"]),
+        ("replay", ["--halfwidth", "-1", "--stickiness", "9", "--replay-file", "REPLAY"]),
     ], ids=["band", "drop", "interference", "replay"])
     def test_option_the_model_ignores_refused(self, tmp_path, capsys, model, argv):
-        # Refused before the replay file is read: the missing file is not the error.
         out = tmp_path / "t.txt"
-        argv = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in argv]
+        replay = tmp_path / "replay.txt"
+        write_lines(replay, [7, 8, 9])
+        argv = [str(replay) if a == "REPLAY" else a for a in argv]
         assert run("simulate", "--model", model, *argv, "--n", "3", "--out", str(out)) == 2
-        assert stderr_of(capsys) == f"error: {argv[0]} is not an option of the {model} model\n"
+        field = argv[0][2:].replace("-", "_")
+        assert stderr_of(capsys) == f"error: {field} is not read by the {model} model\n"
+        assert not out.exists()
+
+    def test_replay_file_read_before_the_model_is_built(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        nope = tmp_path / "nope.txt"
+        assert run("simulate", "--model", "replay", "--replay-file", str(nope),
+                   "--decay", "5", "--n", "3", "--out", str(out)) == 2
+        assert stderr_of(capsys) == f"error: {missing(nope)}\n"
         assert not out.exists()
 
     def test_seed_and_default_values_pass_for_every_model(self, tmp_path):
@@ -337,8 +347,9 @@ class TestSimulateOptions:
     def test_options_are_the_other_fields(self):
         # A new SynthModel field must be placed on purpose: as an option, or in cmd_simulate.
         names = [f.name for f in dataclasses.fields(SynthModel)]
-        assert set(cli._MODEL_OPTIONS) | {"kind", "rng_seed", "replay_values"} == set(names)
-        assert list(cli._MODEL_OPTIONS) == [n for n in names if n in cli._MODEL_OPTIONS]
+        options = samples.MODEL_OPTIONS
+        assert set(options) | {"kind", "rng_seed", "replay_values"} == set(names)
+        assert list(options) == [n for n in names if n in options]
 
     @pytest.mark.parametrize("kind,fields", [
         ("drop", dict(center=340, halfwidth=3, stickiness=0.5, transient_start=900,
@@ -438,6 +449,19 @@ class TestExtract:
         assert run("extract", "--in", str(trace_file), "--algo", "mean",
                    "--k", "0", "--out", str(tmp_path / "b.txt")) == 2
         assert stderr_of(capsys) == "error: window_k must be >= 1\n"
+
+    @pytest.mark.parametrize("algo", ["leastsign", "twoleastsign", "updown"])
+    @pytest.mark.parametrize("k", ["5", "0"])
+    def test_k_refused_by_algorithms_that_do_not_read_it(self, tmp_path, capsys, algo, k):
+        trace_file = tmp_path / "t.txt"
+        write_lines(trace_file, list(range(100)))
+        out = tmp_path / "b.txt"
+        assert run("extract", "--in", str(trace_file), "--algo", algo, "--k", k,
+                   "--out", str(out)) == 2
+        assert stderr_of(capsys) == f"error: window_k is not read by the {algo} algorithm\n"
+        assert not out.exists()
+        assert run("extract", "--in", str(trace_file), "--algo", algo, "--k", "64",
+                   "--out", str(out)) == 0
 
 
 class TestFipstest:
@@ -958,7 +982,7 @@ class TestParserDispatch:
 
 
 def test_cli_defaults_match_library_defaults():
-    # Names listed here, not taken from cli._MODEL_OPTIONS, so a slip there cannot hide.
+    # Names listed here, not taken from samples.MODEL_OPTIONS, so a slip there cannot hide.
     def defaults(cls):
         return {f.name: f.default for f in dataclasses.fields(cls)}
 

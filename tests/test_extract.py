@@ -7,6 +7,7 @@ import pytest
 
 from randpipe import extract as extract_module
 from randpipe.extract import (
+    ALGORITHMS,
     ExtractorConfig,
     InsufficientSamplesError,
     as_bit_array,
@@ -248,7 +249,8 @@ class TestExtract:
     def test_vn_off_equals_raw(self, algo):
         rng = np.random.default_rng(11)
         t = SampleTrace(rng.integers(0, 1024, 400))
-        got = extract(t, ExtractorConfig(algo, window_k=8, apply_vn=False))
+        window = {"window_k": 8} if algo == "mean" else {}
+        got = extract(t, ExtractorConfig(algo, **window, apply_vn=False))
         raw = {
             "leastsign": raw_leastsign(t),
             "twoleastsign": raw_twoleastsign(t),
@@ -311,6 +313,20 @@ class TestExtract:
         cfg = ExtractorConfig("mean", window_k=np.int64(2))
         assert cfg.window_k == 2 and type(cfg.window_k) is int
         assert np.array_equal(raw_mean(t, np.int64(2)), raw_mean(t, 2))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_window_k_only_for_the_algorithms_that_read_it(self, algo):
+        """window_k is read by mean and mixmeanupdown; any other algorithm refuses a value
+        but the default, before the range check."""
+        default = ExtractorConfig.window_k
+        assert ExtractorConfig(algo, window_k=np.int64(default)) == ExtractorConfig(algo)
+        if algo in ("mean", "mixmeanupdown"):
+            assert ExtractorConfig(algo, window_k=5).window_k == 5
+            return
+        for k in [5, 0, np.int64(default + 1)]:
+            with pytest.raises(ValueError) as exc:
+                ExtractorConfig(algo, window_k=k)
+            assert str(exc.value) == f"window_k is not read by the {algo} algorithm"
 
 
 # Pieces of adversarial bit files: the two bits, 13 kinds of ASCII and Unicode

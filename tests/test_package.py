@@ -341,6 +341,51 @@ def test_integer_rule_lives_in_avrprng():
     assert importers == {"avrprng.py"}
 
 
+# The package modules each module may import: avrprng < samples < extract < fips, crack
+# on avrprng and samples alone, cli on every layer, and __main__ on cli alone.
+LOWER_LAYERS = {
+    "__init__": set(), "avrprng": set(), "samples": {"avrprng"},
+    "extract": {"avrprng", "samples"}, "fips": {"avrprng", "samples", "extract"},
+    "crack": {"avrprng", "samples"}, "cli": {"avrprng", "samples", "extract", "fips", "crack"},
+    "__main__": {"cli"},
+}
+
+
+def package_imports(source):
+    """The package modules that source imports, as `from .x import` or `from . import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.partition(".")[0]] if node.module
+                         else [a.name for a in node.names])
+    return found
+
+
+def layer_breaches(modules):
+    """(module, imported) for each package import in `modules` (module name -> source)
+    that LOWER_LAYERS does not allow."""
+    return sorted((module, name) for module, source in modules.items()
+                  for name in package_imports(source) - LOWER_LAYERS[module])
+
+
+def test_layers_import_downward():
+    """Each module imports only the layers below it, so no layer depends on one above."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert set(modules) == set(LOWER_LAYERS)
+    assert layer_breaches(modules) == []
+
+
+def test_layer_check_sees_each_form():
+    source = ("from __future__ import annotations\nimport numpy\nfrom .avrprng import _as_int\n"
+              "from . import fips, samples as s\nfrom .extract.sub import x\n"
+              "from randpipe import cli\n")
+    assert package_imports(source) == {"avrprng", "fips", "samples", "extract"}
+    assert layer_breaches({"samples": "from .extract import read_bits\n",
+                           "extract": "from .samples import x\nfrom . import fips\n",
+                           "crack": "from . import avrprng, fips\n"}) == [
+        ("crack", "fips"), ("extract", "fips"), ("samples", "extract")]
+
+
 def test_unused_import_check_sees_each_form():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport numpy as np\n"

@@ -604,13 +604,14 @@ def random_model(seed):
     bands that touch 0 or SAMPLE_MAX, rounding ties (amplitude 0.5 or 1.5
     with period 4), no or a huge amplitude, periods below 1 or past any
     trace length, decays near 0 or 1, and a transient from either end of
-    the sample range or from the center."""
+    the sample range or from the center. Every field is drawn for every kind, and the
+    model gets those its kind reads."""
     r = pyrandom.Random(seed)
     halfwidth = r.choice([0, 1, 2, 3, r.randrange(4, 100)])
     center = r.choice([halfwidth, SAMPLE_MAX - halfwidth,
                        r.randrange(halfwidth, SAMPLE_MAX - halfwidth + 1)])
-    return SynthModel(
-        kind=r.choice(["band", "drop", "interference"]),
+    kind = r.choice(["band", "drop", "interference"])
+    drawn = dict(
         center=center,
         halfwidth=halfwidth,
         stickiness=r.choice([0.0, 1.0, r.random()]),
@@ -621,6 +622,8 @@ def random_model(seed):
         decay=r.choice([1e-300, 0.9999999, r.uniform(0.001, 0.9999)]),
         transient_start=r.choice([0, SAMPLE_MAX, center, r.randrange(SAMPLE_MAX + 1)]),
     )
+    return SynthModel(kind, rng_seed=drawn.pop("rng_seed"), **{
+        name: value for name, value in drawn.items() if name in samples.MODEL_FIELDS[kind]})
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -709,14 +712,6 @@ def test_synth_matches_loop_on_adversarial_models(name, n):
     assert_synth_matches_loop(ADVERSARIAL_MODELS[name], n)
 
 
-@pytest.mark.parametrize("model", [README_MODELS["drop"], ADVERSARIAL_MODELS["half-at-500"],
-                                   ADVERSARIAL_MODELS["decay-0.9999999"]],
-                         ids=["readme", "half-at-500", "decay-0.9999999"])
-def test_drop_folds_to_n_when_the_estimate_falls_short(model, monkeypatch):
-    monkeypatch.setattr(samples, "ceil", lambda x: 0)
-    assert_synth_matches_loop(model, 1000)
-
-
 def test_interference_phase_overflow_names_period_and_n():
     model = interference(period=1e-308)
     assert np.array_equal(synth_trace(model, 1).values, synth_trace_loop(model, 1))
@@ -788,21 +783,29 @@ class TestSynthModels:
         for values in [(9, 8, 7), ()]:
             with pytest.raises(ValueError) as exc:
                 SynthModel(kind=kind, replay_values=values)
-            assert str(exc.value) == f"replay values are for the replay model, not '{kind}'"
+            assert str(exc.value) == f"replay_values is not read by the {kind} model"
 
     @pytest.mark.parametrize("kind", samples.SYNTH_KINDS)
     def test_model_fields_are_the_fields_each_kind_reads(self, kind):
-        """A field outside the kind's MODEL_FIELDS entry leaves its trace as it is, and one
-        inside it changes the trace, so `simulate` refuses just the options a model ignores."""
-        others = {"center": 500, "halfwidth": 5, "stickiness": 0.5, "transient_start": 0,
-                  "decay": 0.5, "amplitude": 3.0, "period": 7.0, "noise_width": 2}
-        defaults = {"rng_seed": 3, "replay_values": (9, 8, 7) if kind == "replay" else None}
-        trace = synth_trace(SynthModel(kind, **defaults), 2000).values.tolist()
-        assert set(others) == {f.name for f in dataclasses.fields(SynthModel)} - {
-            "kind", *defaults}
-        for name, value in others.items():
-            changed = synth_trace(SynthModel(kind, **defaults, **{name: value}), 2000)
-            assert (changed.values.tolist() != trace) == (name in samples.MODEL_FIELDS[kind])
+        """A field outside the kind's MODEL_FIELDS entry is refused at any value but its
+        default, naming the field, and a field inside it changes the trace."""
+        values = {"center": 500, "halfwidth": 5, "stickiness": 0.5, "transient_start": 0,
+                  "decay": 0.5, "amplitude": 3.0, "period": 7.0, "noise_width": 2,
+                  "replay_values": (4, 5)}
+        assert set(values) == {f.name for f in dataclasses.fields(SynthModel)} - {
+            "kind", "rng_seed"}
+        base = {"rng_seed": 3, "replay_values": (9, 8, 7) if kind == "replay" else None}
+        trace = synth_trace(SynthModel(kind, **base), 2000).values.tolist()
+        for name, value in values.items():
+            if name in samples.MODEL_FIELDS[kind]:
+                changed = synth_trace(SynthModel(kind, **{**base, name: value}), 2000)
+                assert changed.values.tolist() != trace, name
+            else:
+                with pytest.raises(ValueError) as exc:
+                    SynthModel(kind, **{**base, name: value})
+                assert str(exc.value) == f"{name} is not read by the {kind} model"
+                default = getattr(SynthModel, name)
+                assert SynthModel(kind, **{**base, name: default}) == SynthModel(kind, **base)
 
     def test_n_must_be_positive(self):
         m = SynthModel(kind="band")
