@@ -45,7 +45,7 @@ _LCG_CHUNK = 1 << 16      # outputs per stream call in lcg; bounds its memory
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     replay_values = None
-    if args.replay_file:
+    if args.replay_file is not None:
         replay_values = tuple(samples.load_trace(args.replay_file).values.tolist())
     model = samples.SynthModel(
         kind=args.model, rng_seed=args.seed, replay_values=replay_values,
@@ -110,12 +110,11 @@ def cmd_lcg(args: argparse.Namespace) -> int:
 def cmd_crack(args: argparse.Namespace) -> int:
     if args.t is not None and not args.optimized:
         raise ValueError("--t needs --optimized")
-    # Python ints: find_seed and verify_seed each check every value.
-    seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1).tolist()
+    seq = samples.load_values(args.sequence, 1, avrprng.MODULUS - 1)
     trace = samples.load_trace(args.samples)
     t = (crack.CrackConfig.t if args.t is None else args.t) if args.optimized else 1
     cfg = crack.CrackConfig(m=args.m, t=t, max_total_steps=args.max_steps)
-    if not seq:
+    if not seq.size:
         raise ValueError(f"{args.sequence}: no observed values")
     result = crack.find_seed(seq, cfg, trace)
     if args.stats:

@@ -63,20 +63,23 @@ class CrackResult:
     total_steps: int
 
 
-def _checked_sequence(s: Sequence[int]) -> list[int]:
-    vals = list(map(_as_int, s))
-    if not vals:
+def _checked_sequence(s: Sequence[int]) -> np.ndarray:
+    """s as a 1-D int64 array in [1, M - 1]: a 1-D int64 ndarray is checked whole, any other
+    sequence value by value through `_as_int` and range-checked before it becomes int64."""
+    whole = type(s) is np.ndarray and s.ndim == 1 and s.dtype == np.int64
+    vals = s if whole else list(map(_as_int, s))
+    if not len(vals):
         raise ValueError("observed sequence must not be empty")
-    if min(vals) < 1 or max(vals) > MODULUS - 1:
+    lo, hi = (vals.min(), vals.max()) if whole else (min(vals), max(vals))
+    if lo < 1 or hi > MODULUS - 1:
         bad = next(v for v in vals if not 1 <= v <= MODULUS - 1)
         raise ValueError(f"sequence value {bad} outside [1, {MODULUS - 1}]")
-    return vals
+    return vals if whole else np.array(vals, dtype=np.int64)
 
 
-def _is_arc(vals: Sequence[int]) -> bool:
-    """Whether vals are consecutive outputs of the generator."""
-    return 1 <= vals[0] < MODULUS and all(
-        b == a * MULTIPLIER % MODULUS for a, b in zip(vals, vals[1:]))
+def _is_arc(v: np.ndarray) -> bool:
+    """Whether the int64 values v, each in [1, M - 1], are consecutive outputs of the generator."""
+    return np.array_equal(v[1:], v[:-1] * MULTIPLIER % MODULUS)
 
 
 @functools.cache
@@ -133,6 +136,7 @@ def find_seed(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackRe
     offset d does so in round (d - 1) // quota; the smallest (round,
     position) wins. The budget is checked after phase 1 and after each
     round, so 1024*(d + k) steps find a window d outputs into any stream.
+    A 1-D int64 array s is checked whole, without a per-value loop.
     """
     vals = _checked_sequence(s)
     k = len(vals)
@@ -150,7 +154,7 @@ def find_seed(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackRe
 
     # d[i]: the smallest offset of the window in candidate order[i]'s
     # stream. A window that is not an arc of the generator has none.
-    d = _offsets(vals[0])[order] if _is_arc(vals) else None
+    d = _offsets(int(vals[0]))[order] if _is_arc(vals) else None
     if d is not None and d.min() == 0:
         win = int(np.argmin(d))
         return CrackResult(seed=int(order[win]), offset=0, total_steps=(win + 1) * k)
@@ -182,13 +186,14 @@ def verify_seed(g: int, s: Sequence[int], offset: int) -> bool:
     """Whether stream(g) outputs offset+1..offset+k equal s.
 
     Independent post-check for search results: it regenerates the window
-    at the claimed offset and takes no logarithm.
+    at the claimed offset and takes no logarithm. A 1-D int64 array s is
+    checked whole, without a per-value loop.
     """
     offset = _as_int(offset)
     if offset < 0:
         raise ValueError("offset must be >= 0")
     vals = _checked_sequence(s)
-    return stream(srandom(g) * pow(MULTIPLIER, offset, MODULUS), len(vals)) == vals
+    return stream(srandom(g) * pow(MULTIPLIER, offset, MODULUS), len(vals)) == vals.tolist()
 
 
 def audit_candidate_streams(targets: Sequence[Sequence[int]],
@@ -199,16 +204,17 @@ def audit_candidate_streams(targets: Sequence[Sequence[int]],
     (windows must lie fully inside the horizon). Returns, per target, the
     (seed, offset) pairs where the target occurs, by seed and then offset;
     offset counts outputs before the window. Only a target that is an arc
-    of the generator occurs, and in each stream exactly at the offsets
-    congruent to its smallest one mod 2^31 - 2.
+    of the generator occurs (no value outside [1, 2^31 - 2] does), and in
+    each stream exactly at the offsets congruent to its smallest one mod 2^31 - 2.
     """
-    tvals = [tuple(map(_as_int, t)) for t in targets]
+    tvals = [list(map(_as_int, t)) for t in targets]
     horizon = _as_int(horizon)
     if not tvals or any(len(t) < 1 for t in tvals):
         raise ValueError("targets must be non-empty windows")
     found: list[list[tuple[int, int]]] = [[] for _ in tvals]
     for t, pairs in zip(tvals, found):
-        if _is_arc(t):
+        # Targets are unchecked: a value outside [1, M - 1] fails the match, and never raises.
+        if 1 <= t[0] < MODULUS and t[1:] == stream(t[0], len(t) - 1):
             row = _offsets(t[0])
             last = horizon - len(t)
             pairs.extend((seed, c) for seed in np.flatnonzero(row <= last).tolist()

@@ -1,9 +1,10 @@
 """Slow reference implementations of randpipe.crack's ranking, search, post-check and audit.
 
-`prob_dist_sort` ranks the candidates with a Python sort, `search_loop`
-is the round-robin search over that ranking, stepping every candidate's
-stream one output at a time, `verify_scan` steps one stream to a window,
-and `audit_scan` generates all 1024 candidate streams block by block.
+`prob_dist_sort` ranks the candidates with a Python sort, `checked_window`
+checks a window one value at a time, `search_loop` is the round-robin
+search over that ranking, stepping every candidate's stream one output
+at a time, `verify_scan` steps one stream to a window, and `audit_scan`
+generates all 1024 candidate streams block by block.
 They are the definitions the numpy and closed-form code in randpipe.crack
 must reproduce field for field.
 
@@ -12,18 +13,14 @@ for this generator the next output is a function of the previous output
 alone, so re-seeding with the last output continues the stream exactly.
 """
 
+import operator
 from collections import Counter, deque
 from typing import Sequence
 
 import numpy as np
 
 from randpipe.avrprng import MODULUS, MULTIPLIER
-from randpipe.crack import (
-    SEED_SPACE,
-    CrackConfig,
-    CrackResult,
-    _checked_sequence,
-)
+from randpipe.crack import SEED_SPACE, CrackConfig, CrackResult
 from randpipe.samples import SampleTrace
 
 # Offsets per vectorized step of audit_scan; it bounds the step's
@@ -43,8 +40,24 @@ def prob_dist_sort(trace: SampleTrace) -> tuple[list[int], int]:
     return observed + unobserved, len(observed)
 
 
+def checked_window(s: Sequence[int]) -> list[int]:
+    """s as Python ints, checked as the search must: every value an integer that is not a
+    bool, then a non-empty window whose first value outside [1, M - 1] is named."""
+    vals = []
+    for v in s:
+        if isinstance(v, bool):
+            raise TypeError("'bool' object cannot be interpreted as an integer")
+        vals.append(operator.index(v))
+    if not vals:
+        raise ValueError("observed sequence must not be empty")
+    for v in vals:
+        if not 1 <= v <= MODULUS - 1:
+            raise ValueError(f"sequence value {v} outside [1, {MODULUS - 1}]")
+    return vals
+
+
 def search_loop(s: Sequence[int], cfg: CrackConfig, trace: SampleTrace) -> CrackResult:
-    vals = _checked_sequence(s)
+    vals = checked_window(s)
     k = len(vals)
     s_dq = deque(vals)
     s_last = vals[-1]

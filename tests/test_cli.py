@@ -272,6 +272,15 @@ class TestSimulate:
         assert stderr_of(capsys) == f"error: {missing(nope)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["band", "replay"])
+    def test_empty_replay_file_path_is_read(self, tmp_path, capsys, model):
+        # "" names no file; it is read and refused like any other path, not taken as absent.
+        out = tmp_path / "t.txt"
+        assert run("simulate", "--model", model, "--replay-file", "",
+                   "--n", "3", "--out", str(out)) == 2
+        assert stderr_of(capsys) == f"error: {missing('')}\n"
+        assert not out.exists()
+
     def test_seed_and_default_values_pass_for_every_model(self, tmp_path):
         src = tmp_path / "src.txt"
         write_lines(src, [7, 8, 9])
@@ -689,6 +698,17 @@ class TestCrack:
             seed=338, offset=36, total_steps=1))
         assert run("crack", "--sequence", str(seq_file), "--samples", str(samples_file)) == 1
         assert stderr_of(capsys) == "error: candidate seed 338 failed verification\n"
+
+    def test_window_checked_without_a_per_value_loop(self, tmp_path, capsys, monkeypatch):
+        # The window file's int64 array is checked whole; a loop over its 100 values in
+        # find_seed and verify_seed would call _as_int 200 times more.
+        seq_file, samples_file = self.make_instance(tmp_path)
+        calls = []
+        as_int = crack._as_int
+        monkeypatch.setattr(crack, "_as_int", lambda value: calls.append(value) or as_int(value))
+        assert run("crack", "--sequence", str(seq_file), "--samples", str(samples_file)) == 0
+        assert capsys.readouterr().out == "seed=338 offset=37\n"
+        assert len(calls) < 10
 
     def test_window_not_an_arc(self, tmp_path, capsys):
         # No candidate stream holds a window whose values are not

@@ -16,7 +16,13 @@ from randpipe.crack import (
 )
 from randpipe.samples import SampleTrace
 
-from crack_oracle import audit_scan, prob_dist_sort, search_loop, verify_scan
+from crack_oracle import (
+    audit_scan,
+    checked_window,
+    prob_dist_sort,
+    search_loop,
+    verify_scan,
+)
 from test_avrprng import NON_INTEGERS
 
 
@@ -574,3 +580,123 @@ class TestVerifySeedAgainstScan:
         assert verify_seed(99, s, 30 + GROUP_ORDER) is True
         assert verify_seed(99, s, 29 + GROUP_ORDER) is False
         assert verify_seed(0, stream(1, 3), 2 * GROUP_ORDER) is True
+
+
+def bumped(window, i):
+    """window with value i changed to another value in [1, M - 1]."""
+    out = list(window)
+    out[i] = out[i] % (MODULUS - 1) + 1
+    return out
+
+
+ARC = stream(338, 110)[10:]        # seed 338, offset 10
+GOOD = stream(338, 3)
+
+# name: (window, seed and offset for verify_seed). A window is a list of its values,
+# or, for "2-d", a list of rows.
+WINDOWS = {
+    "arc-k1": (stream(881, 8)[7:], 881, 7),
+    "arc-k2": (stream(700, 52)[50:], 700, 50),
+    "arc-k100": (ARC, 338, 10),
+    "broken-first": (bumped(ARC, 0), 338, 10),
+    "broken-middle": (bumped(ARC, 50), 338, 10),
+    "broken-last": (bumped(ARC, 99), 338, 10),
+    "one": ([1], 1, 0),
+    "m-1": ([MODULUS - 1], 338, 0),
+    "arc-from-1": ([1, 16807], 0, GROUP_ORDER - 1),
+    "arc-from-m-1": ([MODULUS - 1, MODULUS - 16807], 1, GROUP_ORDER // 2 - 1),
+    "1-then-m-1": ([1, MODULUS - 1], 338, 0),
+    "zero": (GOOD + [0], 338, 0),
+    "minus-one": ([-1] + GOOD, 338, 0),
+    "modulus": (GOOD[:1] + [MODULUS] + GOOD[1:], 338, 0),
+    "2^40": (GOOD + [2**40], 338, 0),
+    "several-bad": ([5, 0, MODULUS, -1], 338, 0),
+    "2^63": (GOOD + [2**63], 338, 0),
+    "2^70": ([2**70] + GOOD, 338, 0),
+    "empty": ([], 338, 0),
+    "bool": (GOOD[:1] + [True], 338, 0),
+    "float": ([float(v) for v in GOOD], 338, 0),
+    "2-d": ([GOOD, GOOD], 338, 0),
+}
+DTYPES = {"int64-readonly": np.int64, "int64": np.int64, "int32": np.int32,
+          "uint64": np.uint64}
+
+
+def window_forms(name, window):
+    """The window as a list and a tuple, and as each integer array that holds its values
+    exactly; a 2-d window only as arrays, as a list of lists is refused for its rows' type."""
+    forms = {} if name == "2-d" else {"list": list(window), "tuple": tuple(window)}
+    flat = [v for row in window for v in row] if name == "2-d" else window
+    if all(type(v) is int for v in flat):
+        for form, dtype in DTYPES.items():
+            info = np.iinfo(dtype)
+            if all(info.min <= v <= info.max for v in flat):
+                forms[form] = np.array(window, dtype=dtype)
+                forms[form].flags.writeable = form != "int64-readonly"
+    return forms
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestWindowForms:
+    """find_seed and verify_seed give one answer for a window in every form it takes."""
+
+    @pytest.mark.parametrize("name", WINDOWS)
+    def test_same_outcome_in_every_form(self, name):
+        window, g, offset = WINDOWS[name]
+        forms = window_forms(name, window)
+        assert len(forms) > 1
+        cfg, capture = CrackConfig(m=50), band_trace()
+        before = {form: (w.copy(), w.flags.writeable)
+                  for form, w in forms.items() if isinstance(w, np.ndarray)}
+        found = {form: outcome(find_seed, w, cfg, capture) for form, w in forms.items()}
+        verified = {form: outcome(verify_seed, g, w, offset) for form, w in forms.items()}
+        for form, (copy, writeable) in before.items():
+            assert np.array_equal(forms[form], copy) and forms[form].dtype == copy.dtype
+            assert forms[form].flags.writeable is writeable
+        first = next(iter(forms))
+        assert all(found[form] == found[first] for form in forms), found
+        assert all(verified[form] == verified[first] for form in forms), verified
+        expected = outcome(checked_window, forms[first])
+        if isinstance(expected, tuple):                       # refused: one error everywhere
+            assert found[first] == verified[first] == expected
+            return
+        for result in found.values():
+            assert result_types(result) in ((int, int, int), (type(None), type(None), int))
+        assert all(type(v) is bool for v in verified.values())
+        if name.startswith("arc"):
+            assert verified[first] is True
+            result = found[first]
+            assert verify_seed(result.seed, window, result.offset) is True
+        if name.startswith("broken"):
+            assert found[first].seed is None and verified[first] is False
+
+
+class TestAuditContract:
+    """Targets are not checked: one with a value outside [1, M - 1] occurs nowhere."""
+
+    @pytest.mark.parametrize("bad", [0, -1, MODULUS, 2**63, 2**70],
+                             ids=["zero", "minus-one", "modulus", "2^63", "2^70"])
+    def test_out_of_range_target_has_no_pairs(self, bad):
+        targets = [[bad], [bad] + GOOD, GOOD + [bad], GOOD[:1] + [bad] + GOOD[1:]]
+        if bad == 2**63:
+            targets.append(np.array(GOOD + [bad], dtype=np.uint64))
+        assert audit_candidate_streams(targets + [GOOD], horizon=100) == \
+            [[]] * len(targets) + [[(338, 0)]]
+
+    def test_three_value_targets_match_scan(self):
+        # Shaped as the benchmark's recover audit: 3-value windows 0 to 1100 outputs into
+        # candidate streams.
+        rng = pyrandom.Random(41)
+        targets = []
+        for _ in range(30):
+            g, off = rng.randrange(SEED_SPACE), rng.randint(0, 1100)
+            targets.append(stream(g, off + 3)[off:])
+        found = audit_candidate_streams(targets, horizon=2000)
+        assert [set(f) for f in found] == [set(e) for e in audit_scan(targets, horizon=2000)]
+        assert all(f == sorted(f) for f in found)
